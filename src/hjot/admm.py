@@ -14,7 +14,8 @@ The iteration (unscaled multiplier Lambda):
 At convergence Lambda is exactly the primal optimizer (mass, momentum,
 clamp multiplier) and Phi the dual potential. Stopping: both the primal
 residual |A Phi - Sigma|_2 and the dual residual r |A^T(Sigma_k -
-Sigma_{k-1})|_2 below stop_tol.
+Sigma_{k-1})|_2 below stop_tol; a residual that is not finite stops the
+run at once.
 
 The Phi subproblem is a space-periodic elliptic system: the spatial FFT
 diagonalizes it into independent symmetric tridiagonal positive-definite
@@ -30,7 +31,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .transport import PrimalVars, SigmaVars, TransportProblem, objective_FD
@@ -81,6 +83,7 @@ class AdmmState:
     objective: list[float] = field(default_factory=list)
     converged: bool = False
     r_final: float = 0.0
+    stop_reason: str = ""  # "converged", "max_iters" or "non_finite"
 
 
 class SpectralPhiSolver:
@@ -139,18 +142,34 @@ class SpectralPhiSolver:
         ab[0] = off.reshape(-1)
         self.n = n
         self.F = F
-        self.cho = cholesky_banded(ab, lower=False)
+        # Fortran order, as LAPACK reads it, so no call copies the factor
+        self.cho = np.asfortranarray(cholesky_banded(ab, lower=False))
+        # right-hand sides: real and imaginary parts, frequency-major
+        self._rhs = np.empty((F * n, 2), order="F")
+        self._xhat = np.empty(F * n, dtype=complex)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve A^T A Phi = b for a Q_D field b; returns a new array.
+
+        The real and imaginary parts of all frequency blocks go through one
+        LAPACK pbtrs call on a reused Fortran-order (F*n, 2) array. b must be
+        finite: pbtrs does not check, and non-finite input gives a
+        non-finite result.
+        """
         g = self.grid
-        bhat = np.fft.rfftn(b, axes=self.axes)          # (n, *freq_shape)
-        bh = bhat.reshape(self.n, self.F).T.copy()      # (F, n)
-        bh[0, 0] = 0.0  # pinned unknown of the zero frequency
-        flat = bh.reshape(-1)
-        stacked = np.column_stack([flat.real, flat.imag])
-        x = cho_solve_banded((self.cho, False), stacked)
-        xhat = (x[:, 0] + 1j * x[:, 1]).reshape(self.F, self.n).T
-        xhat = xhat.reshape((self.n,) + self.freq_shape)
+        bhat = np.fft.rfftn(b, axes=self.axes).reshape(self.n, self.F).T  # (F, n)
+        re = self._rhs[:, 0].reshape(self.F, self.n)
+        im = self._rhs[:, 1].reshape(self.F, self.n)
+        np.copyto(re, bhat.real)
+        np.copyto(im, bhat.imag)
+        re[0, 0] = im[0, 0] = 0.0  # pinned unknown of the zero frequency
+        x, info = dpbtrs(self.cho, self._rhs, lower=0, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
+        xhat = self._xhat
+        np.multiply(1j, x[:, 1], out=xhat)
+        np.add(x[:, 0], xhat, out=xhat)
+        xhat = xhat.reshape(self.F, self.n).T.reshape((self.n,) + self.freq_shape)
         return np.fft.irfftn(xhat, s=g.space_shape, axes=self.axes)
 
 
@@ -193,37 +212,74 @@ def make_phi_solver(problem: TransportProblem, config: AdmmConfig):
 
 
 def phi_update(solver, problem: TransportProblem, sigma: SigmaVars,
-               lam: PrimalVars, r: float) -> np.ndarray:
-    """Solve r A^T A Phi = F_D - A^T Lambda + r A^T Sigma, mean-anchored."""
-    A = problem.operator
-    combined = PrimalVars(lam.lambda_rho - r * sigma.sigma_t,
-                          lam.lambda_m - r * sigma.sigma_x,
-                          lam.lambda_eta - r * sigma.sigma_r)
-    rhs = problem.objective_data - A.apply_transpose(combined)
-    phi = solver.solve(rhs / r)
-    return phi - phi.mean()
+               lam: PrimalVars, r: float, out: np.ndarray | None = None,
+               work: PrimalVars | None = None) -> np.ndarray:
+    """Solve r A^T A Phi = F_D - A^T Lambda + r A^T Sigma, mean-anchored.
+
+    out (a Q_D array, which also holds the right-hand side) and work
+    (scratch for Lambda - r Sigma) are allocated when None.
+    """
+    if work is None:
+        work = PrimalVars.zeros(problem.grid)
+    for comb, l, sg in zip(work.parts(), lam.parts(), sigma.parts()):
+        np.multiply(r, sg, out=comb)
+        np.subtract(l, comb, out=comb)
+    rhs = problem.operator.apply_transpose(work, out=out)
+    np.subtract(problem.objective_data, rhs, out=rhs)
+    rhs /= r
+    phi = solver.solve(rhs)
+    return np.subtract(phi, phi.mean(), out=rhs)
 
 
 def sigma_update(problem: TransportProblem, a_phi: SigmaVars, lam: PrimalVars,
-                 r: float) -> SigmaVars:
-    """Project A Phi + Lambda/r onto the constraint set."""
-    s, w = problem.cost.project_onto_K(a_phi.sigma_t + lam.lambda_rho / r,
-                                       a_phi.sigma_x + lam.lambda_m / r)
-    u = np.clip(a_phi.sigma_r + lam.lambda_eta / r, -problem.R, problem.R)
-    return SigmaVars(s, w, u)
+                 r: float, out: SigmaVars | None = None) -> SigmaVars:
+    """Project A Phi + Lambda/r onto the constraint set.
+
+    out must not share memory with a_phi or lam; it is allocated when None.
+    """
+    if out is None:
+        out = SigmaVars.zeros(problem.grid)
+    for shifted, a, l in zip(out.parts(), a_phi.parts(), lam.parts()):
+        np.divide(l, r, out=shifted)
+        np.add(a, shifted, out=shifted)
+    problem.cost.project_onto_K(out.sigma_t, out.sigma_x, out=(out.sigma_t, out.sigma_x))
+    np.clip(out.sigma_r, -problem.R, problem.R, out=out.sigma_r)
+    return out
 
 
 def lambda_update(lam: PrimalVars, a_phi: SigmaVars, sigma: SigmaVars,
-                  r: float) -> PrimalVars:
-    """Multiplier ascent Lambda <- Lambda + r (A Phi - Sigma)."""
-    return PrimalVars(lam.lambda_rho + r * (a_phi.sigma_t - sigma.sigma_t),
-                      lam.lambda_m + r * (a_phi.sigma_x - sigma.sigma_x),
-                      lam.lambda_eta + r * (a_phi.sigma_r - sigma.sigma_r))
+                  r: float, out: PrimalVars | None = None) -> PrimalVars:
+    """Multiplier ascent Lambda <- Lambda + r (A Phi - Sigma).
+
+    out must not share memory with the inputs; it is allocated when None.
+    """
+    if out is None:
+        out = PrimalVars(*(np.empty_like(x) for x in lam.parts()))
+    for new, l, a, sg in zip(out.parts(), lam.parts(), a_phi.parts(), sigma.parts()):
+        np.subtract(a, sg, out=new)
+        new *= r
+        np.add(l, new, out=new)
+    return out
+
+
+def _norm(arrays) -> float:
+    """Euclidean norm over all the arrays, summed in a fixed order; squares
+    the arrays in place."""
+    total = 0.0
+    for x in arrays:
+        total += float(np.sum(np.square(x, out=x)))
+    return math.sqrt(total)
 
 
 def solve(problem: TransportProblem, config: AdmmConfig | None = None,
           iter_log=None, log_every: int = 100) -> tuple[np.ndarray, PrimalVars, AdmmState]:
     """Run ADMM to the residual tolerance; returns (phi, lambda, state).
+
+    The run stops when both residuals reach stop_tol, after max_iters
+    iterations, or as soon as a residual is not finite; state.stop_reason
+    names which. The iterates and the loop's scratch arrays are allocated
+    once, here; within an iteration only the two FFTs of the potential
+    solve and objective_FD's small sums allocate.
 
     iter_log, when given, receives CSV rows
     'iteration,primal_res,dual_res,objective' every log_every iterations.
@@ -235,8 +291,10 @@ def solve(problem: TransportProblem, config: AdmmConfig | None = None,
     r = config.r
 
     phi = np.zeros((g.N_T + 1,) + g.space_shape)
-    lam = PrimalVars.zeros(g)
-    sigma = sigma_update(problem, A.apply(phi), lam, r)
+    lam, lam_next = PrimalVars.zeros(g), PrimalVars.zeros(g)
+    a_phi, sigma_next = SigmaVars.zeros(g), SigmaVars.zeros(g)
+    a_t_delta = np.empty_like(phi)
+    sigma = sigma_update(problem, A.apply(phi, out=a_phi), lam, r)
     solver = make_phi_solver(problem, config)
 
     state = AdmmState(phi=phi, sigma=sigma, lam=lam, iters=0)
@@ -244,19 +302,21 @@ def solve(problem: TransportProblem, config: AdmmConfig | None = None,
         iter_log.write("iteration,primal_res,dual_res,objective\n")
 
     for it in range(1, config.max_iters + 1):
-        phi = phi_update(solver, problem, sigma, lam, r)
-        a_phi = A.apply(phi)
-        sigma_new = sigma_update(problem, a_phi, lam, r)
-        lam = lambda_update(lam, a_phi, sigma_new, r)
+        # lam_next is free until lambda_update, so phi_update uses it as scratch
+        phi = phi_update(solver, problem, sigma, lam, r, out=phi, work=lam_next)
+        a_phi = A.apply(phi, out=a_phi)
+        sigma_next = sigma_update(problem, a_phi, lam, r, out=sigma_next)
+        lam, lam_next = lambda_update(lam, a_phi, sigma_next, r, out=lam_next), lam
 
-        primal = SigmaVars(a_phi.sigma_t - sigma_new.sigma_t,
-                           a_phi.sigma_x - sigma_new.sigma_x,
-                           a_phi.sigma_r - sigma_new.sigma_r).norm2()
-        delta = PrimalVars(sigma_new.sigma_t - sigma.sigma_t,
-                           sigma_new.sigma_x - sigma.sigma_x,
-                           sigma_new.sigma_r - sigma.sigma_r)
-        dual = r * math.sqrt(float(np.sum(A.apply_transpose(delta) ** 2)))
-        sigma = sigma_new
+        # the residuals overwrite A Phi and the previous Sigma, which no
+        # later step reads: A Phi - Sigma_k, then Sigma_k - Sigma_{k-1}
+        for a, s in zip(a_phi.parts(), sigma_next.parts()):
+            a -= s
+        primal = _norm(a_phi.parts())
+        for s_new, s in zip(sigma_next.parts(), sigma.parts()):
+            np.subtract(s_new, s, out=s)
+        dual = r * _norm([A.apply_transpose(PrimalVars(*sigma.parts()), out=a_t_delta)])
+        sigma, sigma_next = sigma_next, sigma
 
         state.primal_res.append(primal)
         state.dual_res.append(dual)
@@ -265,8 +325,16 @@ def solve(problem: TransportProblem, config: AdmmConfig | None = None,
         if iter_log is not None and (it % log_every == 0 or it == 1):
             iter_log.write(f"{it},{primal:.17g},{dual:.17g},{fd:.17g}\n")
 
+        if not (math.isfinite(primal) and math.isfinite(dual)):
+            state.stop_reason = "non_finite"
+            state.iters = it
+            warnings.warn(f"ADMM stopped at iteration {it}: non-finite residual "
+                          f"(primal {primal:.3e}, dual {dual:.3e})")
+            break
+
         if primal <= config.stop_tol and dual <= config.stop_tol:
             state.converged = True
+            state.stop_reason = "converged"
             state.iters = it
             break
 
@@ -277,6 +345,7 @@ def solve(problem: TransportProblem, config: AdmmConfig | None = None,
                 r /= 2.0
     else:
         state.iters = config.max_iters
+        state.stop_reason = "max_iters"
         warnings.warn(
             f"ADMM did not converge in {config.max_iters} iterations "
             f"(primal {state.primal_res[-1]:.3e}, dual {state.dual_res[-1]:.3e})")

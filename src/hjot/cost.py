@@ -60,7 +60,7 @@ class CostModel:
         """Lipschitz constant of H on the ball of radius r."""
         raise NotImplementedError
 
-    def project_onto_K(self, a, b):
+    def project_onto_K(self, a, b, out=None):
         raise NotImplementedError
 
     def eval_pointwise_cost(self, rho: np.ndarray, m: np.ndarray,
@@ -91,6 +91,7 @@ class QuadraticCost(CostModel):
     kind = "quadratic"
     p = 2.0
     q = 2.0
+    _newton: tuple = ()
 
     def eval_L(self, v):
         return 0.5 * np.sum(np.asarray(v) ** 2, axis=0)
@@ -116,7 +117,7 @@ class QuadraticCost(CostModel):
     def lip_H(self, r):
         return float(r)
 
-    def project_onto_K(self, a, b, tol: float = 1e-12, max_iter: int = 100):
+    def project_onto_K(self, a, b, tol: float = 1e-12, max_iter: int = 100, out=None):
         """Euclidean projection of (a, b) onto {(s, w): s + |w|^2/2 <= 0}.
 
         Feasible points are returned unchanged. For the rest the KKT system
@@ -131,35 +132,64 @@ class QuadraticCost(CostModel):
         bracket [0, a + H(b)] (geometrically widened) guards pathological
         cases.
 
+        The Newton steps run on whole arrays, with no boolean indexing:
+        feasible cells are padded with a = 0, |b|^2 = 0, so they converge
+        at the first step and keep lambda = 0, and a - 0 and b / 1 return
+        them unchanged. Converged cells keep their lambda, as before. The
+        arrays are held by the cost model and reused while the shape stays
+        the same, so one model must not project from two threads at once.
+
         a has any shape, b has a leading component axis over the same shape.
+        out, when given, is a pair (s, w) of arrays shaped like a and b; it
+        may be (a, b) itself for an in-place projection.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        s = a.copy()
-        w = b.copy()
-        b2 = np.sum(b * b, axis=0)
-        slack = a + 0.5 * b2
-        infeas = slack > 0
-        if not np.any(infeas):
+        s, w = (np.empty_like(a), np.empty_like(b)) if out is None else out
+        a_pad, b2, half_b2, lam, opl, tmp, g, infeas, converged, active = \
+            self._newton_arrays(a.shape)
+        np.multiply(b[0], b[0], out=b2)
+        for k in range(1, b.shape[0]):
+            np.multiply(b[k], b[k], out=tmp)
+            b2 += tmp
+        np.multiply(0.5, b2, out=half_b2)
+        np.add(a, half_b2, out=tmp)
+        np.greater(tmp, 0, out=infeas)
+        if not infeas.any():
+            np.copyto(s, a)
+            np.copyto(w, b)
             return s, w
-        ai = a[infeas]
-        b2i = b2[infeas]
-        lam = np.zeros_like(ai)
-        converged = np.zeros(ai.shape, dtype=bool)
+        # pad the feasible cells with a = 0, |b|^2 = 0: there g(0) = 0, so
+        # they converge at the first step and keep lambda = 0
+        np.logical_not(infeas, out=converged)
+        np.copyto(a_pad, a)
+        for arr in (a_pad, b2, half_b2):
+            np.copyto(arr, 0.0, where=converged)
+        lam.fill(0.0)
         for _ in range(max_iter):
-            opl = 1.0 + lam
-            g = (ai - lam) + 0.5 * b2i / opl ** 2
-            converged = np.abs(g) <= tol
+            np.add(1.0, lam, out=opl)
+            np.square(opl, out=tmp)
+            np.divide(half_b2, tmp, out=g)
+            np.subtract(a_pad, lam, out=tmp)
+            g += tmp
+            np.absolute(g, out=tmp)
+            np.less_equal(tmp, tol, out=converged)
             if converged.all():
                 break
-            gp = -1.0 - b2i / opl ** 3
-            lam = np.where(converged, lam, lam - g / gp)
+            np.power(opl, 3, out=tmp)
+            np.divide(b2, tmp, out=tmp)
+            np.subtract(-1.0, tmp, out=tmp)
+            np.divide(g, tmp, out=tmp)
+            np.logical_not(converged, out=active)
+            np.subtract(lam, tmp, out=lam, where=active)
         if not converged.all():
             # Newton stalled somewhere; bisect the survivors
             bad = ~converged
-            lo = np.zeros(np.count_nonzero(bad))
-            hi = (ai[bad] + 0.5 * b2i[bad]).copy()
-            gb = lambda l: (ai[bad] - l) + 0.5 * b2i[bad] / (1.0 + l) ** 2
+            ai = a_pad[bad]
+            b2i = b2[bad]
+            lo = np.zeros(ai.shape)
+            hi = (ai + 0.5 * b2i).copy()
+            gb = lambda l: (ai - l) + 0.5 * b2i / (1.0 + l) ** 2
             for _ in range(200):
                 if np.all(gb(hi) <= 0):
                     break
@@ -175,10 +205,18 @@ class QuadraticCost(CostModel):
             if np.max(np.abs(gb(lam_bad))) > 1e3 * tol:
                 raise RuntimeError("projection onto K did not converge")
             lam[bad] = lam_bad
-        s[infeas] = ai - lam
-        w_infeas = b[:, infeas] / (1.0 + lam)
-        w[:, infeas] = w_infeas
+        # lambda = 0 on feasible cells, where a - 0 = a and b / 1 = b exactly
+        np.add(1.0, lam, out=opl)
+        np.subtract(a, lam, out=s)
+        np.divide(b, opl, out=w)
         return s, w
+
+    def _newton_arrays(self, shape: tuple) -> tuple:
+        """Scratch arrays of project_onto_K, reallocated when the shape changes."""
+        if not self._newton or self._newton[0].shape != shape:
+            self._newton = (tuple(np.empty(shape) for _ in range(7))
+                            + tuple(np.empty(shape, dtype=bool) for _ in range(3)))
+        return self._newton
 
 
 class PowerCost(CostModel):

@@ -11,10 +11,21 @@ numpy arrays with the following shape conventions:
 - vector fields carry a leading axis of length d
 
 All spatial operators act on the last d axes, so they broadcast over any
-leading time/batch axes. Index arithmetic is modulo N_X (periodic).
+leading time/batch axes. Index arithmetic is modulo N_X (periodic): a
+difference is one pass over the flattened arrays when both are
+C-contiguous (over slices otherwise), plus one pass over the wrap slab,
+whose neighbours lie across the period. No input is copied.
+
+Every stencil takes an optional ``out=`` array of the result's shape and
+returns it; without one it allocates the result. The compound stencils
+also take ``work=``, a scratch array of the input's shape that they
+overwrite. Neither may share memory with the input. The arithmetic is
+that of the defining formulas, operation by operation, so results do not
+depend on whether buffers are passed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,34 +139,94 @@ def _check_axis(grid: GridSpec, k: int) -> int:
     return k - grid.d
 
 
-def forward_diff(psi: np.ndarray, grid: GridSpec, k: int = 0) -> np.ndarray:
+_NEXT, _PREV = slice(1, None), slice(None, -1)
+_FIRST, _LAST = slice(0, 1), slice(-1, None)
+
+
+def _neighbour_op(op, psi: np.ndarray, ax: int, out: np.ndarray, forward: bool) -> np.ndarray:
+    """out(j) = op(psi(j+1), psi(j)) if forward, else op(psi(j), psi(j-1)),
+    along the (negative) axis ax, with periodic wrap."""
+    rest = (slice(None),) * (-ax - 1)
+    first, last = (Ellipsis, _FIRST) + rest, (Ellipsis, _LAST) + rest
+    if psi.flags.c_contiguous and out.flags.c_contiguous:
+        # one pass over the flattened arrays, where the neighbour along ax
+        # lies `step` elements on; the cells whose neighbour is across the
+        # period get a wrong value here and are rewritten below
+        step = math.prod(psi.shape[psi.ndim + ax + 1:])
+        flat, res = psi.reshape(-1), out.reshape(-1)
+        op(flat[step:], flat[:-step], out=res[:-step] if forward else res[step:])
+    else:
+        nxt, prv = (Ellipsis, _NEXT) + rest, (Ellipsis, _PREV) + rest
+        op(psi[nxt], psi[prv], out=out[prv if forward else nxt])
+    op(psi[first], psi[last], out=out[last if forward else first])
+    return out
+
+
+def _buffer(out: np.ndarray | None, shape: tuple, like: np.ndarray) -> np.ndarray:
+    return np.empty(shape, np.result_type(like, 1.0)) if out is None else out
+
+
+def forward_diff(psi: np.ndarray, grid: GridSpec, k: int = 0,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Forward difference along spatial axis k: psi(j+1) - psi(j), periodic."""
     ax = _check_axis(grid, k)
-    return np.roll(psi, -1, axis=ax) - psi
+    return _neighbour_op(np.subtract, psi, ax, _buffer(out, psi.shape, psi), True)
 
 
-def backward_diff(psi: np.ndarray, grid: GridSpec, k: int = 0) -> np.ndarray:
+def backward_diff(psi: np.ndarray, grid: GridSpec, k: int = 0,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Backward difference along spatial axis k: psi(j) - psi(j-1), periodic."""
     ax = _check_axis(grid, k)
-    return psi - np.roll(psi, 1, axis=ax)
+    return _neighbour_op(np.subtract, psi, ax, _buffer(out, psi.shape, psi), False)
 
 
-def centered_gradient(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
+def centered_diff(psi: np.ndarray, grid: GridSpec, k: int = 0,
+                  out: np.ndarray | None = None,
+                  work: np.ndarray | None = None) -> np.ndarray:
+    """Centered difference quotient along axis k: (backward + forward)/(2 dx).
+
+    The backward difference at j is the forward difference at j-1 (the
+    same subtraction), so one forward difference, held in work, gives both.
+    """
+    fwd = forward_diff(psi, grid, k, out=_buffer(work, psi.shape, psi))
+    out = _neighbour_op(np.add, fwd, k - grid.d, _buffer(out, psi.shape, psi), False)
+    out /= 2.0 * grid.dx
+    return out
+
+
+def centered_gradient(psi: np.ndarray, grid: GridSpec, out: np.ndarray | None = None,
+                      work: np.ndarray | None = None) -> np.ndarray:
     """Centered gradient (backward + forward)/(2 dx), one component per axis.
 
     Output has a new leading axis of length d.
     """
-    comps = [(backward_diff(psi, grid, k) + forward_diff(psi, grid, k)) / (2.0 * grid.dx)
-             for k in range(grid.d)]
-    return np.stack(comps, axis=0)
-
-
-def discrete_laplacian(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Discrete Laplacian sum_k (forward - backward)/dx^2."""
-    out = np.zeros_like(psi)
+    out = _buffer(out, (grid.d,) + psi.shape, psi)
+    work = _buffer(work, psi.shape, psi)
     for k in range(grid.d):
-        out += forward_diff(psi, grid, k) - backward_diff(psi, grid, k)
-    return out / grid.dx ** 2
+        centered_diff(psi, grid, k, out=out[k], work=work)
+    return out
+
+
+def discrete_laplacian(psi: np.ndarray, grid: GridSpec, out: np.ndarray | None = None,
+                       work: np.ndarray | None = None) -> np.ndarray:
+    """Discrete Laplacian sum_k (forward - backward)/dx^2.
+
+    forward - backward along axis k is the backward difference of the
+    forward difference (held in work). For d >= 2 each axis after the
+    first allocates its term.
+    """
+    out = _buffer(out, psi.shape, psi)
+    work = _buffer(work, psi.shape, psi)
+    for k in range(grid.d):
+        fwd = forward_diff(psi, grid, k, out=work)
+        if k == 0:
+            backward_diff(fwd, grid, k, out=out)
+            # the sum starts from +0.0, which turns a -0.0 term into +0.0
+            out += 0.0
+        else:
+            out += backward_diff(fwd, grid, k)
+    out /= grid.dx ** 2
+    return out
 
 
 def time_derivative(phi: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -70,6 +70,8 @@ class DiscreteMeasure:
 
     def __post_init__(self) -> None:
         w = self.weights
+        if not np.all(np.isfinite(w)):
+            raise ValueError("discrete measure has a non-finite weight")
         if np.any(w < -1e-12):
             raise ValueError("discrete measure has a negative weight")
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostModel
-from .grid import GridSpec, backward_diff, centered_gradient, discrete_laplacian, forward_diff
+from .grid import (GridSpec, backward_diff, centered_diff, centered_gradient, discrete_laplacian,
+                   forward_diff)
 from .measures import DiscreteMeasure
 
 
@@ -41,14 +42,18 @@ class SigmaVars:
     sigma_x: np.ndarray
     sigma_r: np.ndarray
 
+    @staticmethod
+    def zeros(grid: GridSpec) -> "SigmaVars":
+        sp = grid.space_shape
+        return SigmaVars(np.zeros((grid.N_T,) + sp),
+                         np.zeros((grid.d, grid.N_T) + sp),
+                         np.zeros((grid.d,) + sp))
+
     def copy(self) -> "SigmaVars":
         return SigmaVars(self.sigma_t.copy(), self.sigma_x.copy(), self.sigma_r.copy())
 
-    def norm2(self) -> float:
-        """Euclidean norm over all components, fixed summation order."""
-        return math.sqrt(float(np.sum(self.sigma_t ** 2))
-                         + float(np.sum(self.sigma_x ** 2))
-                         + float(np.sum(self.sigma_r ** 2)))
+    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.sigma_t, self.sigma_x, self.sigma_r
 
 
 @dataclass
@@ -72,39 +77,69 @@ class PrimalVars:
                           np.zeros((grid.d, grid.N_T) + sp),
                           np.zeros((grid.d,) + sp))
 
+    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.lambda_rho, self.lambda_m, self.lambda_eta
+
 
 class ConstraintOperator:
-    """The concatenated linear operator A = (A_t, A_x, A_R) and its adjoint."""
+    """The concatenated linear operator A = (A_t, A_x, A_R) and its adjoint.
+
+    Both directions are built from the grid stencils and write into an
+    optional ``out=`` of the result's type, which must not share memory
+    with the input. They share two Q'_D scratch arrays owned by the
+    operator, so one operator must not be applied from two threads at once.
+    """
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
         self.eps = grid.eps
         self.R = grid.R
+        self._scratch = np.empty((2, grid.N_T) + grid.space_shape)
 
-    def apply(self, phi: np.ndarray) -> SigmaVars:
+    def apply(self, phi: np.ndarray, out: SigmaVars | None = None) -> SigmaVars:
         g = self.grid
         if phi.shape != (g.N_T + 1,) + g.space_shape:
             raise ValueError("apply expects a Q_D potential")
+        if out is None:
+            out = SigmaVars.zeros(g)
+        lap = self._scratch[0]
         old = phi[:-1]
-        sigma_t = (phi[1:] - old) / g.dt - self.eps * discrete_laplacian(old, g)
-        sigma_x = centered_gradient(old, g)
-        sigma_r = np.stack([forward_diff(phi[0], g, k) for k in range(g.d)]) / g.dx
-        return SigmaVars(sigma_t, sigma_x, sigma_r)
+        # sigma_t = (phi^{i+1} - phi^i)/dt - eps lap phi^i; sigma_t is the
+        # Laplacian's scratch before it takes its own value
+        discrete_laplacian(old, g, out=lap, work=out.sigma_t)
+        lap *= self.eps
+        np.subtract(phi[1:], old, out=out.sigma_t)
+        out.sigma_t /= g.dt
+        out.sigma_t -= lap
+        centered_gradient(old, g, out=out.sigma_x, work=lap)
+        for k in range(g.d):
+            forward_diff(phi[0], g, k, out=out.sigma_r[k])
+        out.sigma_r /= g.dx
+        return out
 
-    def apply_transpose(self, lam: PrimalVars) -> np.ndarray:
+    def apply_transpose(self, lam: PrimalVars, out: np.ndarray | None = None) -> np.ndarray:
         g = self.grid
         rho, m, eta = lam.lambda_rho, lam.lambda_m, lam.lambda_eta
-        out = np.zeros((g.N_T + 1,) + g.space_shape)
+        if out is None:
+            out = np.empty((g.N_T + 1,) + g.space_shape)
+        rate, term = self._scratch
         # A_t^T: the adjoint of the time quotient plus the (self-adjoint)
-        # viscosity term acting on the old slice
-        out[:-1] -= rho / g.dt + self.eps * discrete_laplacian(rho, g)
-        out[1:] += rho / g.dt
+        # viscosity term acting on the old slice, accumulated from zero
+        np.divide(rho, g.dt, out=rate)
+        discrete_laplacian(rho, g, out=term, work=out[:-1])
+        term *= self.eps
+        term += rate
+        np.subtract(0.0, term, out=out[:-1])
+        out[-1] = 0.0
+        out[1:] += rate
         # A_x^T: the centered gradient is skew-adjoint per component
         for k in range(g.d):
-            out[:-1] -= (backward_diff(m[k], g, k) + forward_diff(m[k], g, k)) / (2.0 * g.dx)
+            out[:-1] -= centered_diff(m[k], g, k, out=term, work=rate)
         # A_R^T: adjoint of the forward quotient on the initial slice
         for k in range(g.d):
-            out[0] -= backward_diff(eta[k], g, k) / g.dx
+            edge = backward_diff(eta[k], g, k, out=term[0])
+            edge /= g.dx
+            out[0] -= edge
         return out
 
 
@@ -124,11 +159,24 @@ class TransportProblem:
         return self.grid.R
 
 
+# relative mass difference up to which two marginals count as balanced
+MASS_RTOL = 1e-8
+
+
 def assemble_problem(grid: GridSpec, cost: CostModel,
                      pi_mu: DiscreteMeasure, pi_nu: DiscreteMeasure) -> TransportProblem:
+    """Transport problem between two marginals of equal mass on the grid.
+
+    Unequal masses make A^T Lambda = F_D unsolvable in its constant mode,
+    which the potential solve would hide, so they are rejected here.
+    """
     for name, meas in (("pi_mu", pi_mu), ("pi_nu", pi_nu)):
         if meas.weights.shape != grid.space_shape:
             raise ValueError(f"{name} does not live on the grid")
+    m_mu, m_nu = pi_mu.mass, pi_nu.mass
+    if abs(m_mu - m_nu) > MASS_RTOL * max(abs(m_mu), abs(m_nu)):
+        raise ValueError(f"marginals have unequal mass: pi_mu has {m_mu!r}, "
+                         f"pi_nu has {m_nu!r} (relative tolerance {MASS_RTOL:g})")
     data = np.zeros((grid.N_T + 1,) + grid.space_shape)
     data[0] = -pi_mu.weights
     data[-1] = pi_nu.weights

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -264,3 +265,24 @@ def test_fixed_penalty_without_adaptation(quad):
 
 def test_returned_phi_is_mean_anchored(case2_n16):
     assert abs(float(case2_n16.phi.mean())) <= 1e-12
+
+
+def test_non_finite_iterates_stop_with_a_named_reason(quad):
+    problem = case_problem(2, 16, quad)
+    data = problem.objective_data.copy()
+    data[1, 3] = np.nan
+    broken = dataclasses.replace(problem, objective_data=data)
+    with pytest.warns(UserWarning, match="non-finite"):
+        _, _, state = solve(broken)
+    assert state.stop_reason == "non_finite"
+    assert state.iters <= 2 and not state.converged
+    assert not math.isfinite(state.primal_res[-1])
+
+
+def test_stop_reason_names_convergence_and_the_cap(quad):
+    problem = case_problem(2, 16, quad)
+    _, _, done = solve(problem)
+    assert done.converged and done.stop_reason == "converged"
+    with pytest.warns(UserWarning, match="did not converge"):
+        _, _, capped = solve(problem, AdmmConfig(max_iters=3))
+    assert capped.stop_reason == "max_iters"

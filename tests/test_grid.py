@@ -206,3 +206,58 @@ def test_make_grid_custom_radius():
     assert g.eps == pytest.approx(cost.lip_H(0.4) * g.dx / 2.0)
     with pytest.raises(ValueError):
         make_grid(1, 1.0, 16, 16, cost, R=0.3, monotone_radius=0.2)
+
+
+# np.roll forms of the stencils, as the defining formulas read
+def _roll_fwd(psi, k, d):
+    return np.roll(psi, -1, axis=k - d) - psi
+
+
+def _roll_bwd(psi, k, d):
+    return psi - np.roll(psi, 1, axis=k - d)
+
+
+def _roll_reference(name, psi, g):
+    d = g.d
+    if name == "forward_diff":
+        return np.stack([_roll_fwd(psi, k, d) for k in range(d)])
+    if name == "backward_diff":
+        return np.stack([_roll_bwd(psi, k, d) for k in range(d)])
+    if name == "centered_gradient":
+        return np.stack([(_roll_bwd(psi, k, d) + _roll_fwd(psi, k, d)) / (2.0 * g.dx)
+                         for k in range(d)])
+    out = np.zeros_like(psi)
+    for k in range(d):
+        out += _roll_fwd(psi, k, d) - _roll_bwd(psi, k, d)
+    return out / g.dx ** 2
+
+
+def _stencil(name, psi, g, use_out):
+    """The library stencil, with out= (and work=) buffers full of NaN when
+    use_out, so that a cell it fails to write shows."""
+    def buf(shape):
+        return np.full(shape, np.nan) if use_out else None
+
+    if name in ("forward_diff", "backward_diff"):
+        fn = forward_diff if name == "forward_diff" else backward_diff
+        return np.stack([fn(psi, g, k, out=buf(psi.shape)) for k in range(g.d)])
+    if name == "centered_gradient":
+        return centered_gradient(psi, g, out=buf((g.d,) + psi.shape), work=buf(psi.shape))
+    return discrete_laplacian(psi, g, out=buf(psi.shape), work=buf(psi.shape))
+
+
+@pytest.mark.parametrize("name", ["forward_diff", "backward_diff",
+                                  "centered_gradient", "discrete_laplacian"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("use_out", [False, True])
+@pytest.mark.parametrize("strided", [False, True])
+def test_stencils_equal_roll_reference(name, n, d, batch, use_out, strided):
+    g = small_grid(N_X=n, d=d)
+    rng = np.random.default_rng(7 * n + d + len(batch))
+    # a strided input takes the slice path, a contiguous one the flat path
+    psi = rng.standard_normal(batch + g.space_shape + (2,))[..., 0] if strided \
+        else rng.standard_normal(batch + g.space_shape)
+    got = _stencil(name, psi, g, use_out)
+    assert np.array_equal(got, _roll_reference(name, psi, g))

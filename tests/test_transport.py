@@ -8,6 +8,7 @@ from hjot.measures import DiscreteMeasure, build_test_case, project_measure
 from hjot.transport import (
     ConstraintOperator,
     PrimalVars,
+    SigmaVars,
     assemble_problem,
     check_dual_feasibility,
     duality_gap,
@@ -264,3 +265,42 @@ def test_case3_velocity_field(case3_n16):
         if heavy[mid, j] and xs[j] not in (0.0, 0.5):
             side = 1.0 if xs[j] < 0.5 else -1.0
             assert v[0, mid, j] == pytest.approx(0.45 * side, abs=0.1)
+
+
+@pytest.mark.parametrize("d, n", [(1, 4), (1, 7), (2, 4)])
+def test_operator_out_buffers_match_allocating_form(d, n):
+    g = GridSpec(d=d, D=1.0, N_T=3, N_X=n, eps=0.05, R=0.5)
+    op = ConstraintOperator(g)
+    rng = np.random.default_rng(37 + d + n)
+    sp = g.space_shape
+    phi = rng.standard_normal((g.N_T + 1,) + sp)
+    lam = PrimalVars(rng.standard_normal((g.N_T,) + sp),
+                     rng.standard_normal((d, g.N_T) + sp),
+                     rng.standard_normal((d,) + sp))
+    sig = op.apply(phi)
+    nan = SigmaVars(*(np.full_like(x, np.nan) for x in sig.parts()))
+    assert op.apply(phi, out=nan) is nan
+    for got, want in zip(nan.parts(), sig.parts()):
+        assert np.array_equal(got, want)
+    adj = op.apply_transpose(lam)
+    buf = np.full_like(adj, np.nan)
+    assert op.apply_transpose(lam, out=buf) is buf
+    assert np.array_equal(buf, adj)
+
+
+@pytest.mark.parametrize("factor", [2.0, 1.001])
+def test_assemble_rejects_unequal_masses(quad, factor):
+    g = make_grid(1, 1.0, 16, 16, quad)
+    mu = DiscreteMeasure(np.full(16, 1.0 / 16))
+    nu = DiscreteMeasure(factor * mu.weights)
+    with pytest.raises(ValueError, match="unequal mass") as exc:
+        assemble_problem(g, quad, mu, nu)
+    assert repr(mu.mass) in str(exc.value) and repr(nu.mass) in str(exc.value)
+
+
+def test_discrete_measure_rejects_non_finite_weights():
+    w = np.full(16, 1.0 / 16)
+    for bad in (np.nan, np.inf):
+        w[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DiscreteMeasure(w.copy())
