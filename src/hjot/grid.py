@@ -12,9 +12,8 @@ numpy arrays with the following shape conventions:
 
 All spatial operators act on the last d axes, so they broadcast over any
 leading time/batch axes. Index arithmetic is modulo N_X (periodic): a
-difference is one pass over the flattened arrays when both are
-C-contiguous (over slices otherwise), plus one pass over the wrap slab,
-whose neighbours lie across the period. No input is copied.
+difference is one pass over slices of the input plus one pass over the
+wrap slab, whose neighbours lie across the period. No input is copied.
 
 Every stencil takes an optional ``out=`` array of the result's shape and
 returns it; without one it allocates the result. The compound stencils
@@ -25,7 +24,6 @@ depend on whether buffers are passed.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,17 +145,9 @@ def _neighbour_op(op, psi: np.ndarray, ax: int, out: np.ndarray, forward: bool) 
     """out(j) = op(psi(j+1), psi(j)) if forward, else op(psi(j), psi(j-1)),
     along the (negative) axis ax, with periodic wrap."""
     rest = (slice(None),) * (-ax - 1)
+    nxt, prv = (Ellipsis, _NEXT) + rest, (Ellipsis, _PREV) + rest
     first, last = (Ellipsis, _FIRST) + rest, (Ellipsis, _LAST) + rest
-    if psi.flags.c_contiguous and out.flags.c_contiguous:
-        # one pass over the flattened arrays, where the neighbour along ax
-        # lies `step` elements on; the cells whose neighbour is across the
-        # period get a wrong value here and are rewritten below
-        step = math.prod(psi.shape[psi.ndim + ax + 1:])
-        flat, res = psi.reshape(-1), out.reshape(-1)
-        op(flat[step:], flat[:-step], out=res[:-step] if forward else res[step:])
-    else:
-        nxt, prv = (Ellipsis, _NEXT) + rest, (Ellipsis, _PREV) + rest
-        op(psi[nxt], psi[prv], out=out[prv if forward else nxt])
+    op(psi[nxt], psi[prv], out=out[prv if forward else nxt])
     op(psi[first], psi[last], out=out[last if forward else first])
     return out
 

@@ -256,7 +256,7 @@ def _stencil(name, psi, g, use_out):
 def test_stencils_equal_roll_reference(name, n, d, batch, use_out, strided):
     g = small_grid(N_X=n, d=d)
     rng = np.random.default_rng(7 * n + d + len(batch))
-    # a strided input takes the slice path, a contiguous one the flat path
+    # the stencils read views, so a strided input must give the same values
     psi = rng.standard_normal(batch + g.space_shape + (2,))[..., 0] if strided \
         else rng.standard_normal(batch + g.space_shape)
     got = _stencil(name, psi, g, use_out)
