@@ -21,8 +21,7 @@ The Phi subproblem is a space-periodic elliptic system: the spatial FFT
 diagonalizes it into independent symmetric tridiagonal positive-definite
 systems in time (one per frequency), which are prefactored once with a
 banded Cholesky. The zero frequency is singular with constant kernel and
-is pinned; a global mean subtraction anchors the constant mode. A
-matrix-free conjugate-gradient fallback is kept for cross-checking.
+is pinned; a global mean subtraction anchors the constant mode.
 """
 from __future__ import annotations
 
@@ -33,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .transport import PrimalVars, SigmaVars, TransportProblem, objective_FD
 
@@ -44,10 +42,8 @@ class AdmmConfig:
 
     :param r: penalty parameter
     :param stop_tol: threshold for both residual norms
-    :param max_iters: iteration cap (non-convergence is flagged, not raised)
-    :param phi_solver: 'spectral' (exact, default) or 'cg' (matrix-free)
-    :param cg_tol: relative tolerance of the inner CG solve
-    :param cg_max_iters: CG iteration cap per outer iteration
+    :param max_iters: iteration cap, at least 1 (non-convergence is
+        flagged, not raised)
     :param adapt_penalty: residual balancing, multiply/divide r by 2 when
         the residual ratio exceeds balance_ratio. On by default: the
         natural scale of r tracks the measure weights (which shrink with
@@ -57,17 +53,14 @@ class AdmmConfig:
     r: float = 1.0
     stop_tol: float = 1e-5
     max_iters: int = 200000
-    phi_solver: str = "spectral"
-    cg_tol: float = 1e-10
-    cg_max_iters: int = 5000
     adapt_penalty: bool = True
     balance_ratio: float = 10.0
 
     def __post_init__(self) -> None:
         if self.r <= 0 or self.stop_tol <= 0:
             raise ValueError("r and stop_tol must be positive")
-        if self.phi_solver not in ("spectral", "cg"):
-            raise ValueError("phi_solver must be 'spectral' or 'cg'")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 @dataclass
@@ -173,44 +166,6 @@ class SpectralPhiSolver:
         return np.fft.irfftn(xhat, s=g.space_shape, axes=self.axes)
 
 
-class CgPhiSolver:
-    """Matrix-free CG on the normal equations, warm-started."""
-
-    def __init__(self, problem: TransportProblem, tol: float, max_iters: int):
-        self.problem = problem
-        self.tol = tol
-        self.max_iters = max_iters
-        g = problem.grid
-        self.shape_qd = (g.N_T + 1,) + g.space_shape
-        size = int(np.prod(self.shape_qd))
-        A = problem.operator
-
-        def matvec(v):
-            phi = v.reshape(self.shape_qd)
-            sig = A.apply(phi)
-            return A.apply_transpose(
-                PrimalVars(sig.sigma_t, sig.sigma_x, sig.sigma_r)).reshape(-1)
-
-        self.op = LinearOperator((size, size), matvec=matvec)
-        self.x0 = np.zeros(size)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        rhs = (b - b.mean()).reshape(-1)
-        x, info = cg(self.op, rhs, x0=self.x0, rtol=self.tol, atol=0.0,
-                     maxiter=self.max_iters)
-        if info > 0:
-            warnings.warn(f"phi-update CG stopped after {info} iterations "
-                          "without reaching tolerance; continuing with best iterate")
-        self.x0 = x
-        return x.reshape(self.shape_qd)
-
-
-def make_phi_solver(problem: TransportProblem, config: AdmmConfig):
-    if config.phi_solver == "spectral":
-        return SpectralPhiSolver(problem.grid)
-    return CgPhiSolver(problem, config.cg_tol, config.cg_max_iters)
-
-
 def phi_update(solver, problem: TransportProblem, sigma: SigmaVars,
                lam: PrimalVars, r: float, out: np.ndarray | None = None,
                work: PrimalVars | None = None) -> np.ndarray:
@@ -295,7 +250,7 @@ def solve(problem: TransportProblem, config: AdmmConfig | None = None,
     a_phi, sigma_next = SigmaVars.zeros(g), SigmaVars.zeros(g)
     a_t_delta = np.empty_like(phi)
     sigma = sigma_update(problem, A.apply(phi, out=a_phi), lam, r)
-    solver = make_phi_solver(problem, config)
+    solver = SpectralPhiSolver(g)
 
     state = AdmmState(phi=phi, sigma=sigma, lam=lam, iters=0)
     if iter_log is not None:

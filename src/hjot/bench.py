@@ -19,7 +19,6 @@ import os
 import tempfile
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,33 +196,21 @@ def solve_instance(case_id: int, N: int, *, w: float | None = None,
     return SolveOutput(record, phi, lam, problem, sol, state)
 
 
-def _sweep_worker(args) -> ErrorRecord:
-    case_id, N, kwargs = args
-    return solve_instance(case_id, N, **kwargs).record
-
-
 def run_sweep(case_id: int, resolutions, *, w: float | None = None,
               zeta: float = 1.0, cost_spec: str = "quadratic",
               R: float | None = None, admm_config: AdmmConfig | None = None,
-              quad_tol: float = 1e-10, workers: int = 1) -> ConvergenceReport:
+              quad_tol: float = 1e-10) -> ConvergenceReport:
     """Solve a resolution family and fit convergence orders.
 
     Non-converged solves keep their record but are excluded from fits.
-    workers > 1 distributes the solves over processes; results are
-    assembled in resolution order either way.
     """
     res = [int(n) for n in resolutions]
     if sorted(res) != res or len(set(res)) != len(res):
         raise ValueError("resolutions must be strictly ascending")
     build_test_case(case_id, w=w)  # validates case_id and w early
-    kwargs = dict(w=w, zeta=zeta, cost_spec=cost_spec, R=R,
-                  admm_config=admm_config, quad_tol=quad_tol)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_sweep_worker,
-                                    [(case_id, n, kwargs) for n in res]))
-    else:
-        records = [_sweep_worker((case_id, n, kwargs)) for n in res]
+    records = [solve_instance(case_id, n, w=w, zeta=zeta, cost_spec=cost_spec, R=R,
+                              admm_config=admm_config, quad_tol=quad_tol).record
+               for n in res]
 
     fitted = [r for r in records if r.converged]
     if len(fitted) < len(records):

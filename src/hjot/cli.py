@@ -30,7 +30,7 @@ from .admm import AdmmConfig
 from .bench import (atomic_write_text, fit_rate, records_to_csv,
                     report_to_json, resolve_nx, run_sweep, solve_instance)
 from .cost import make_cost
-from .grid import DELTA_FRACTION, GridSpec, make_grid
+from .grid import GridSpec, default_monotone_radius, make_grid
 from .hj import (SchemeParams, check_monotone, consistency_residual, hopf_lax,
                  make_scheme, max_slope, random_cr_field, solve_ivp)
 from .measures import DEFAULT_W, wrap
@@ -273,6 +273,7 @@ def cmd_solve(cfg: dict) -> int:
         "K_D": _jsonable(rec.K_D), "K_analytic": res.sol.cost,
         "duality_gap": _jsonable(rec.duality_gap),
         "iters": rec.iters, "converged": rec.converged,
+        "stop_reason": res.state.stop_reason, "r_final": res.state.r_final,
         "primal_res": res.state.primal_res[-1] if res.state.primal_res else None,
         "dual_res": res.state.dual_res[-1] if res.state.dual_res else None,
         "errors": {"eps_K": _jsonable(rec.eps_K), "eps_phi": _jsonable(rec.eps_phi),
@@ -331,7 +332,7 @@ def cmd_verify_scheme(cfg: dict) -> int:
                      cost, R=cfg["clamp_R"])
     if cfg["eps"] is not None:
         grid = dataclasses.replace(grid, eps=float(cfg["eps"]))
-        params = SchemeParams(grid, cost, (1.0 + DELTA_FRACTION) * grid.R,
+        params = SchemeParams(grid, cost, default_monotone_radius(grid.R),
                               validate=False)
     else:
         params = make_scheme(grid, cost)

@@ -95,33 +95,46 @@ class GridSpec:
         """Time grid i*dt, i = 0..N_T."""
         return np.arange(self.N_T + 1) * self.dt
 
+
+def default_monotone_radius(R: float) -> float:
+    """The slope radius R + DELTA_FRACTION*R on which the scheme must be
+    monotone unless a caller names another."""
+    return (1.0 + DELTA_FRACTION) * R
+
+
+def viscosity_interval(cost, radius: float, d: int, dt: float, dx: float) -> tuple[float, float]:
+    """Admissible interval [lip_H(radius)/2, dx/(2 d dt)] for eps/dx.
+
+    With eps/dx in it the scheme is monotone on fields whose difference
+    quotients are bounded by radius; it is empty when dt is too large
+    relative to dx.
+    """
+    return cost.lip_H(radius) / 2.0, dx / (2.0 * d * dt)
+
+
 def make_grid(d: int, D: float, N_T: int, N_X: int, cost, R: float | None = None,
               monotone_radius: float | None = None) -> GridSpec:
     """Build a GridSpec with the minimal admissible viscosity.
 
-    eps is set to lip_H(radius)*dx/2 where radius defaults to 1.05*R, the
-    slightly enlarged slope class on which monotonicity is required. The
-    construction fails loudly when the admissible interval
-    [lip_H(radius)/2, dx/(2*d*dt)] for eps/dx is empty, i.e. when the
-    time step is too large relative to dx.
+    eps is set to the lower end of viscosity_interval times dx, at the
+    slightly enlarged slope radius on which monotonicity is required. The
+    construction fails loudly when that interval is empty.
 
     :param cost: CostModel providing lip_L / lip_H
     :param R: slope clamp; defaults to lip_L(diam), the Lipschitz constant
         of the cost on the ball of radius diam(Omega)
     :param monotone_radius: radius of the slope class on which the scheme
-        must be monotone; defaults to R + DELTA_FRACTION*R
+        must be monotone; defaults to default_monotone_radius(R)
     """
     diam = D * np.sqrt(d) / 2.0
     if R is None:
         R = float(cost.lip_L(diam))
     if monotone_radius is None:
-        monotone_radius = (1.0 + DELTA_FRACTION) * R
+        monotone_radius = default_monotone_radius(R)
     if monotone_radius < R:
         raise ValueError("monotone_radius must be at least R")
-    dt = 1.0 / N_T
     dx = D / N_X
-    lo = cost.lip_H(monotone_radius) / 2.0
-    hi = dx / (2.0 * d * dt)
+    lo, hi = viscosity_interval(cost, monotone_radius, d, 1.0 / N_T, dx)
     if lo > hi:
         raise ValueError(
             f"no admissible viscosity: lip_H({monotone_radius:g})/2 = {lo:g} "
@@ -217,70 +230,3 @@ def discrete_laplacian(psi: np.ndarray, grid: GridSpec, out: np.ndarray | None =
             out += backward_diff(fwd, grid, k)
     out /= grid.dx ** 2
     return out
-
-
-def time_derivative(phi: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Forward time difference quotient on Q_D: (phi^{i+1} - phi^i)/dt.
-
-    Maps a Q_D field (N_T+1 slices) to a Q'_D field (N_T slices).
-    """
-    if phi.shape[0] != grid.N_T + 1:
-        raise ValueError("time_derivative expects a Q_D field")
-    return (phi[1:] - phi[:-1]) / grid.dt
-
-
-# Adjoints with respect to the unweighted Euclidean inner product on grid
-# values. forward_diff^T = -backward_diff, the centered gradient is
-# skew-adjoint per component, and the Laplacian is self-adjoint.
-
-def _adj_centered_gradient(m: np.ndarray, grid: GridSpec) -> np.ndarray:
-    out = np.zeros(m.shape[1:], dtype=m.dtype)
-    for k in range(grid.d):
-        out -= (backward_diff(m[k], grid, k) + forward_diff(m[k], grid, k)) / (2.0 * grid.dx)
-    return out
-
-
-def _adj_discrete_laplacian(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return discrete_laplacian(psi, grid)
-
-
-def _adj_forward_diff_over_dx(eta: np.ndarray, grid: GridSpec) -> np.ndarray:
-    out = np.zeros(eta.shape[1:], dtype=eta.dtype)
-    for k in range(grid.d):
-        out -= backward_diff(eta[k], grid, k) / grid.dx
-    return out
-
-
-def _adj_time_derivative(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    if u.shape[0] != grid.N_T:
-        raise ValueError("adjoint of time_derivative expects a Q'_D field")
-    out = np.zeros((grid.N_T + 1,) + u.shape[1:], dtype=u.dtype)
-    out[:-1] -= u / grid.dt
-    out[1:] += u / grid.dt
-    return out
-
-
-_ADJOINTS = {
-    "centered_gradient": _adj_centered_gradient,
-    "discrete_laplacian": _adj_discrete_laplacian,
-    "forward_diff_over_dx": _adj_forward_diff_over_dx,
-    "time_derivative": _adj_time_derivative,
-}
-
-
-def adjoint_apply(op_tag: str, field: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Apply the exact adjoint of a named operator.
-
-    op_tag is one of 'centered_gradient', 'discrete_laplacian',
-    'forward_diff_over_dx', 'time_derivative'. The vector-valued operators
-    (gradient, forward_diff_over_dx) take a field with a leading axis of
-    length d and return a scalar field.
-    """
-    try:
-        fn = _ADJOINTS[op_tag]
-    except KeyError:
-        raise ValueError(f"unknown operator tag {op_tag!r}") from None
-    if op_tag in ("centered_gradient", "forward_diff_over_dx"):
-        if field.shape[0] != grid.d:
-            raise ValueError(f"{op_tag} adjoint expects a leading axis of length d={grid.d}")
-    return fn(field, grid)

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostModel
-from .grid import (DELTA_FRACTION, GridSpec, centered_gradient,
-                   discrete_laplacian, forward_diff)
+from .grid import (GridSpec, centered_gradient, default_monotone_radius,
+                   discrete_laplacian, forward_diff, viscosity_interval)
+from .measures import wrap
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,7 @@ class SchemeParams:
             raise ValueError("monotone radius must be at least the clamp level R")
         if not self.validate:
             return
-        lo = self.cost.lip_H(self.monotone_on) / 2.0
-        hi = g.dx / (2.0 * g.d * g.dt)
+        lo, hi = viscosity_interval(self.cost, self.monotone_on, g.d, g.dt, g.dx)
         ratio = g.eps / g.dx
         slack = 1e-12 * max(1.0, abs(lo), abs(hi))
         if not (lo - slack <= ratio <= hi + slack):
@@ -62,9 +62,9 @@ class SchemeParams:
 
 def make_scheme(grid: GridSpec, cost: CostModel,
                 monotone_radius: float | None = None) -> SchemeParams:
-    """SchemeParams with the default enlarged radius (1 + 0.05) * R."""
+    """SchemeParams, by default on the radius default_monotone_radius(R)."""
     if monotone_radius is None:
-        monotone_radius = (1.0 + DELTA_FRACTION) * grid.R
+        monotone_radius = default_monotone_radius(grid.R)
     return SchemeParams(grid=grid, cost=cost, monotone_on=monotone_radius)
 
 
@@ -156,7 +156,7 @@ def hopf_lax(phi0, t: float, x: float, cost: CostModel, grid: GridSpec,
     def value(yy):
         yy = np.atleast_1d(np.asarray(yy, dtype=float))
         disp = (x - yy)[None, :] / t
-        return phi0(_wrap(yy, grid.D)) + t * cost.eval_L(disp)
+        return phi0(wrap(yy, grid.D)) + t * cost.eval_L(disp)
 
     vals = value(y)
     k = int(np.argmin(vals))
@@ -164,10 +164,6 @@ def hopf_lax(phi0, t: float, x: float, cost: CostModel, grid: GridSpec,
     hi = y[min(k + 1, n - 1)]
     polished = _golden_min(lambda yy: float(value(yy)[0]), lo, hi, xtol)
     return float(min(vals[k], polished))
-
-
-def _wrap(x, D):
-    return (np.asarray(x) + D / 2.0) % D - D / 2.0
 
 
 def random_cr_field(grid: GridSpec, radius: float, rng: np.random.Generator,

@@ -49,9 +49,6 @@ class SigmaVars:
                          np.zeros((grid.d, grid.N_T) + sp),
                          np.zeros((grid.d,) + sp))
 
-    def copy(self) -> "SigmaVars":
-        return SigmaVars(self.sigma_t.copy(), self.sigma_x.copy(), self.sigma_r.copy())
-
     def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.sigma_t, self.sigma_x, self.sigma_r
 
@@ -93,7 +90,6 @@ class ConstraintOperator:
     def __init__(self, grid: GridSpec):
         self.grid = grid
         self.eps = grid.eps
-        self.R = grid.R
         self._scratch = np.empty((2, grid.N_T) + grid.space_shape)
 
     def apply(self, phi: np.ndarray, out: SigmaVars | None = None) -> SigmaVars:

@@ -74,6 +74,9 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert summary["K_D"] == pytest.approx(0.0217635, abs=1e-6)
     assert summary["K_analytic"] == pytest.approx(0.2 ** 2 / 12)
     assert summary["errors"]["eps_K"] == pytest.approx(0.0184302, abs=1e-6)
+    assert summary["stop_reason"] == "converged"
+    # residual balancing only halves or doubles the starting r = 1
+    assert summary["r_final"] > 0 and np.log2(summary["r_final"]).is_integer()
     assert "wall_time" not in summary  # solve artifacts are fully deterministic
     cfg = json.loads((out / "config_resolved.json").read_text())
     assert cfg["command"] == "solve" and cfg["case"] == 2
@@ -104,6 +107,13 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     assert code == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is False
+    assert summary["stop_reason"] == "max_iters"
+
+
+def test_solve_zero_iteration_cap_exits_3(tmp_path, capsys):
+    code, _ = run_solve(tmp_path, "none", ["--max-iters", "0"])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_invalid_case_exits_3(tmp_path, capsys):

@@ -80,11 +80,13 @@ def test_transpose_matches_dense_matrix(quad):
         assert np.max(np.abs(A.T @ flatten_primal(lam) - out.ravel())) <= 1e-12
 
 
-def test_adjoint_identity_random(tiny_problem):
-    # <A phi, lam> == <phi, A^T lam> on the full-size operator
-    g = tiny_problem.grid
-    op = tiny_problem.operator
-    rng = np.random.default_rng(19)
+@pytest.mark.parametrize("n_x", [3, 4, 8])
+@pytest.mark.parametrize("d", [1, 2])
+def test_adjoint_identity_random(d, n_x):
+    # <A phi, lam> == <phi, A^T lam>, the one adjoint there is, in d = 1 and 2
+    g = GridSpec(d=d, D=1.0, N_T=4, N_X=n_x, eps=0.0625, R=0.5)
+    op = ConstraintOperator(g)
+    rng = np.random.default_rng(10 * d + n_x)
     for _ in range(10):
         phi = rng.standard_normal((g.N_T + 1,) + g.space_shape)
         lam = PrimalVars(
