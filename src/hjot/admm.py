@@ -35,30 +35,30 @@ from scipy.linalg.lapack import dpbtrs
 
 from .transport import PrimalVars, SigmaVars, TransportProblem, objective_FD
 
+# residual balancing (Boyd et al. 2011, sec. 3.4.1): r doubles or halves when
+# one residual exceeds BALANCE_RATIO times the other. r must track the
+# measure weights, which shrink with the grid; a fixed r stalls the dual residual.
+BALANCE_RATIO = 10.0
+
 
 @dataclass
 class AdmmConfig:
     """Solver parameters.
 
-    :param r: penalty parameter
-    :param stop_tol: threshold for both residual norms
+    :param r: initial penalty parameter, finite and positive
+    :param stop_tol: threshold for both residual norms, finite and positive
     :param max_iters: iteration cap, at least 1 (non-convergence is
         flagged, not raised)
-    :param adapt_penalty: residual balancing, multiply/divide r by 2 when
-        the residual ratio exceeds balance_ratio. On by default: the
-        natural scale of r tracks the measure weights (which shrink with
-        the grid), and a fixed r=1 stalls the dual residual.
     """
 
     r: float = 1.0
     stop_tol: float = 1e-5
     max_iters: int = 200000
-    adapt_penalty: bool = True
-    balance_ratio: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.r <= 0 or self.stop_tol <= 0:
-            raise ValueError("r and stop_tol must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.r, self.stop_tol)):
+            raise ValueError(f"r and stop_tol must be finite and positive, "
+                             f"got r={self.r!r}, stop_tol={self.stop_tol!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
@@ -226,18 +226,16 @@ def _norm(arrays) -> float:
     return math.sqrt(total)
 
 
-def solve(problem: TransportProblem, config: AdmmConfig | None = None,
-          iter_log=None, log_every: int = 100) -> tuple[np.ndarray, PrimalVars, AdmmState]:
+def solve(problem: TransportProblem,
+          config: AdmmConfig | None = None) -> tuple[np.ndarray, PrimalVars, AdmmState]:
     """Run ADMM to the residual tolerance; returns (phi, lambda, state).
 
     The run stops when both residuals reach stop_tol, after max_iters
     iterations, or as soon as a residual is not finite; state.stop_reason
     names which. The iterates and the loop's scratch arrays are allocated
     once, here; within an iteration only the two FFTs of the potential
-    solve and objective_FD's small sums allocate.
-
-    iter_log, when given, receives CSV rows
-    'iteration,primal_res,dual_res,objective' every log_every iterations.
+    solve and objective_FD's small sums allocate. The residuals and F_D of
+    every iteration are kept in state.primal_res, dual_res and objective.
     """
     if config is None:
         config = AdmmConfig()
@@ -253,8 +251,6 @@ def solve(problem: TransportProblem, config: AdmmConfig | None = None,
     solver = SpectralPhiSolver(g)
 
     state = AdmmState(phi=phi, sigma=sigma, lam=lam, iters=0)
-    if iter_log is not None:
-        iter_log.write("iteration,primal_res,dual_res,objective\n")
 
     for it in range(1, config.max_iters + 1):
         # lam_next is free until lambda_update, so phi_update uses it as scratch
@@ -275,10 +271,7 @@ def solve(problem: TransportProblem, config: AdmmConfig | None = None,
 
         state.primal_res.append(primal)
         state.dual_res.append(dual)
-        fd = objective_FD(phi, problem.pi_mu, problem.pi_nu)
-        state.objective.append(fd)
-        if iter_log is not None and (it % log_every == 0 or it == 1):
-            iter_log.write(f"{it},{primal:.17g},{dual:.17g},{fd:.17g}\n")
+        state.objective.append(objective_FD(phi, problem.pi_mu, problem.pi_nu))
 
         if not (math.isfinite(primal) and math.isfinite(dual)):
             state.stop_reason = "non_finite"
@@ -293,11 +286,10 @@ def solve(problem: TransportProblem, config: AdmmConfig | None = None,
             state.iters = it
             break
 
-        if config.adapt_penalty:
-            if primal > config.balance_ratio * dual:
-                r *= 2.0
-            elif dual > config.balance_ratio * primal:
-                r /= 2.0
+        if primal > BALANCE_RATIO * dual:
+            r *= 2.0
+        elif dual > BALANCE_RATIO * primal:
+            r /= 2.0
     else:
         state.iters = config.max_iters
         state.stop_reason = "max_iters"

@@ -114,13 +114,12 @@ def error_potential_gradient(phi: np.ndarray, sol, lam: PrimalVars,
     return float(np.sum(gap2 * lam.lambda_rho))
 
 
-def error_measure(lam: PrimalVars, sol, grid: GridSpec,
-                  quad_tol: float = 1e-10) -> float:
+def error_measure(lam: PrimalVars, sol, grid: GridSpec) -> float:
     """dt-weighted L^1 gap between projected analytic slices and Lambda_rho/dt."""
     total = 0.0
     for i in range(grid.N_T):
         slice_mu = sol.slice_measure(i * grid.dt, grid.D)
-        pi_rho = project_measure(slice_mu, grid, quad_tol=quad_tol).weights
+        pi_rho = project_measure(slice_mu, grid).weights
         total += float(np.sum(np.abs(pi_rho - lam.lambda_rho[i] / grid.dt)))
     return grid.dt * total
 
@@ -162,15 +161,14 @@ class SolveOutput:
 
 def solve_instance(case_id: int, N: int, *, w: float | None = None,
                    zeta: float = 1.0, cost_spec: str = "quadratic",
-                   R: float | None = None, admm_config: AdmmConfig | None = None,
-                   quad_tol: float = 1e-10) -> SolveOutput:
+                   R: float | None = None, admm_config: AdmmConfig | None = None) -> SolveOutput:
     """Solve one test case at one resolution and measure all error metrics."""
     mu, nu, sol = build_test_case(case_id, w=w)
     cost = make_cost(cost_spec)
     grid = make_grid(1, 1.0, N, resolve_nx(N, zeta, 1.0), cost, R=R)
     t0 = time.perf_counter()
-    pi_mu = project_measure(mu, grid, quad_tol=quad_tol)
-    pi_nu = project_measure(nu, grid, quad_tol=quad_tol)
+    pi_mu = project_measure(mu, grid)
+    pi_nu = project_measure(nu, grid)
     problem = assemble_problem(grid, cost, pi_mu, pi_nu)
     phi, lam, state = solve(problem, admm_config)
     wall = time.perf_counter() - t0
@@ -187,7 +185,7 @@ def solve_instance(case_id: int, N: int, *, w: float | None = None,
         eps_K=error_cost(sol.cost, K_for_errors),
         eps_phi=error_potential_gradient(phi, sol, lam, grid),
         eps_v=error_velocity(lam, V, sol, grid),
-        eps_rho=error_measure(lam, sol, grid, quad_tol=quad_tol),
+        eps_rho=error_measure(lam, sol, grid),
         iters=state.iters,
         wall_time=wall,
         converged=state.converged,
@@ -198,8 +196,7 @@ def solve_instance(case_id: int, N: int, *, w: float | None = None,
 
 def run_sweep(case_id: int, resolutions, *, w: float | None = None,
               zeta: float = 1.0, cost_spec: str = "quadratic",
-              R: float | None = None, admm_config: AdmmConfig | None = None,
-              quad_tol: float = 1e-10) -> ConvergenceReport:
+              R: float | None = None, admm_config: AdmmConfig | None = None) -> ConvergenceReport:
     """Solve a resolution family and fit convergence orders.
 
     Non-converged solves keep their record but are excluded from fits.
@@ -209,7 +206,7 @@ def run_sweep(case_id: int, resolutions, *, w: float | None = None,
         raise ValueError("resolutions must be strictly ascending")
     build_test_case(case_id, w=w)  # validates case_id and w early
     records = [solve_instance(case_id, n, w=w, zeta=zeta, cost_spec=cost_spec, R=R,
-                              admm_config=admm_config, quad_tol=quad_tol).record
+                              admm_config=admm_config).record
                for n in res]
 
     fitted = [r for r in records if r.converged]

@@ -9,8 +9,9 @@ Subcommands:
 
 Configuration comes from flags, optionally seeded by a JSON config file
 (flags override the file). The resolved configuration is echoed to stdout
-and into the output directory, so any run can be reproduced from its
-artifacts. All outputs are deterministic for a fixed config, except the
+and, once the run is done, into the output directory, so any run can be
+reproduced from its artifacts; a run rejected with exit code 3 writes
+nothing there. All outputs are deterministic for a fixed config, except the
 wall_time column of sweep records.
 
 Exit codes: 0 success, 2 non-convergence, 3 invalid config, 4 property failure.
@@ -166,12 +167,6 @@ def parse_resolutions(value) -> list[int]:
     return ns
 
 
-def echo_config(cfg: dict, out_dir: str) -> None:
-    text = json.dumps(cfg, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write("resolved config:\n" + text)
-    atomic_write_text(os.path.join(out_dir, "config_resolved.json"), text)
-
-
 def _jsonable(x):
     """floats that JSON cannot carry become strings; None passes through."""
     if isinstance(x, float) and not math.isfinite(x):
@@ -249,7 +244,6 @@ def cmd_solve(cfg: dict) -> int:
     ns = parse_resolutions(cfg["n"])
     if len(ns) != 1:
         raise ConfigError("solve takes a single resolution, use sweep for lists")
-    echo_config(cfg, cfg["out"])
     admm_cfg = AdmmConfig(r=float(cfg["admm_r"]), stop_tol=float(cfg["stop_tol"]),
                           max_iters=int(cfg["max_iters"]))
     res = solve_instance(int(cfg["case"]), ns[0], w=cfg["param"],
@@ -298,7 +292,6 @@ def cmd_sweep(cfg: dict) -> int:
     ns = parse_resolutions(cfg["n"])
     if len(ns) < 2:
         raise ConfigError("sweep needs at least 2 resolutions")
-    echo_config(cfg, cfg["out"])
     admm_cfg = AdmmConfig(r=float(cfg["admm_r"]), stop_tol=float(cfg["stop_tol"]),
                           max_iters=int(cfg["max_iters"]))
     report = run_sweep(int(cfg["case"]), ns, w=cfg["param"], zeta=float(cfg["zeta"]),
@@ -326,7 +319,6 @@ def cmd_verify_scheme(cfg: dict) -> int:
     ns = parse_resolutions(cfg["n"])
     if len(ns) != 1:
         raise ConfigError("verify-scheme takes a single resolution")
-    echo_config(cfg, cfg["out"])
     cost = make_cost(cfg["cost"])
     grid = make_grid(1, 1.0, ns[0], resolve_nx(ns[0], float(cfg["zeta"]), 1.0),
                      cost, R=cfg["clamp_R"])
@@ -369,7 +361,6 @@ def cmd_verify_scheme(cfg: dict) -> int:
 
 def cmd_hj_ivp(cfg: dict) -> int:
     ns = parse_resolutions(cfg["n"])
-    echo_config(cfg, cfg["out"])
     cost = make_cost(cfg["cost"])
 
     def phi0(x):
@@ -415,7 +406,12 @@ def main(argv=None) -> int:
                 "verify-scheme": cmd_verify_scheme, "hj-ivp": cmd_hj_ivp}
     try:
         cfg = resolve_config(ns)
-        return handlers[ns.command](cfg)
+        text = json.dumps(cfg, indent=2, sort_keys=True) + "\n"
+        sys.stdout.write("resolved config:\n" + text)
+        code = handlers[ns.command](cfg)
+        # written last: a command that raises (exit 3) leaves --out untouched
+        atomic_write_text(os.path.join(cfg["out"], "config_resolved.json"), text)
+        return code
     except (ConfigError, ValueError, NotImplementedError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -17,6 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# residual |g| at which project_onto_K's Newton steps stop, and their cap
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 100
+
 
 def _norm(v: np.ndarray) -> np.ndarray:
     """Euclidean norm over the leading component axis."""
@@ -117,7 +121,7 @@ class QuadraticCost(CostModel):
     def lip_H(self, r):
         return float(r)
 
-    def project_onto_K(self, a, b, tol: float = 1e-12, max_iter: int = 100, out=None):
+    def project_onto_K(self, a, b, out=None):
         """Euclidean projection of (a, b) onto {(s, w): s + |w|^2/2 <= 0}.
 
         Feasible points are returned unchanged. For the rest the KKT system
@@ -166,14 +170,14 @@ class QuadraticCost(CostModel):
         for arr in (a_pad, b2, half_b2):
             np.copyto(arr, 0.0, where=converged)
         lam.fill(0.0)
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             np.add(1.0, lam, out=opl)
             np.square(opl, out=tmp)
             np.divide(half_b2, tmp, out=g)
             np.subtract(a_pad, lam, out=tmp)
             g += tmp
             np.absolute(g, out=tmp)
-            np.less_equal(tmp, tol, out=converged)
+            np.less_equal(tmp, NEWTON_TOL, out=converged)
             if converged.all():
                 break
             np.power(opl, 3, out=tmp)
@@ -202,7 +206,7 @@ class QuadraticCost(CostModel):
                 lo = np.where(pos, mid, lo)
                 hi = np.where(pos, hi, mid)
             lam_bad = 0.5 * (lo + hi)
-            if np.max(np.abs(gb(lam_bad))) > 1e3 * tol:
+            if np.max(np.abs(gb(lam_bad))) > 1e3 * NEWTON_TOL:
                 raise RuntimeError("projection onto K did not converge")
             lam[bad] = lam_bad
         # lambda = 0 on feasible cells, where a - 0 = a and b / 1 = b exactly
@@ -257,7 +261,7 @@ class PowerCost(CostModel):
     def lip_H(self, r):
         return float(r) ** (self.q - 1.0)
 
-    def project_onto_K(self, a, b, **kwargs):
+    def project_onto_K(self, a, b, out=None):
         raise NotImplementedError(
             "projection onto {s + H(w) <= 0} is only implemented for the "
             "quadratic cost; the saddle-point solver supports quadratic runs only")

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# default relative enlargement of the slope radius on which the scheme
-# must be monotone (the theory needs some delta > 0 beyond R)
+# relative enlargement of the slope radius on which the scheme must be
+# monotone (the theory needs some delta > 0 beyond R)
 DELTA_FRACTION = 0.05
 
 
@@ -98,7 +98,7 @@ class GridSpec:
 
 def default_monotone_radius(R: float) -> float:
     """The slope radius R + DELTA_FRACTION*R on which the scheme must be
-    monotone unless a caller names another."""
+    monotone."""
     return (1.0 + DELTA_FRACTION) * R
 
 
@@ -112,27 +112,23 @@ def viscosity_interval(cost, radius: float, d: int, dt: float, dx: float) -> tup
     return cost.lip_H(radius) / 2.0, dx / (2.0 * d * dt)
 
 
-def make_grid(d: int, D: float, N_T: int, N_X: int, cost, R: float | None = None,
-              monotone_radius: float | None = None) -> GridSpec:
+def make_grid(d: int, D: float, N_T: int, N_X: int, cost,
+              R: float | None = None) -> GridSpec:
     """Build a GridSpec with the minimal admissible viscosity.
 
     eps is set to the lower end of viscosity_interval times dx, at the
-    slightly enlarged slope radius on which monotonicity is required. The
+    slightly enlarged slope radius default_monotone_radius(R) on which
+    monotonicity is required (the radius hj.make_scheme checks). The
     construction fails loudly when that interval is empty.
 
     :param cost: CostModel providing lip_L / lip_H
     :param R: slope clamp; defaults to lip_L(diam), the Lipschitz constant
         of the cost on the ball of radius diam(Omega)
-    :param monotone_radius: radius of the slope class on which the scheme
-        must be monotone; defaults to default_monotone_radius(R)
     """
     diam = D * np.sqrt(d) / 2.0
     if R is None:
         R = float(cost.lip_L(diam))
-    if monotone_radius is None:
-        monotone_radius = default_monotone_radius(R)
-    if monotone_radius < R:
-        raise ValueError("monotone_radius must be at least R")
+    monotone_radius = default_monotone_radius(R)
     dx = D / N_X
     lo, hi = viscosity_interval(cost, monotone_radius, d, 1.0 / N_T, dx)
     if lo > hi:

@@ -60,12 +60,10 @@ class SchemeParams:
         return self.monotone_on - self.grid.R
 
 
-def make_scheme(grid: GridSpec, cost: CostModel,
-                monotone_radius: float | None = None) -> SchemeParams:
-    """SchemeParams, by default on the radius default_monotone_radius(R)."""
-    if monotone_radius is None:
-        monotone_radius = default_monotone_radius(grid.R)
-    return SchemeParams(grid=grid, cost=cost, monotone_on=monotone_radius)
+def make_scheme(grid: GridSpec, cost: CostModel) -> SchemeParams:
+    """SchemeParams on the radius default_monotone_radius(R), the radius
+    grid.make_grid chooses the viscosity for."""
+    return SchemeParams(grid=grid, cost=cost, monotone_on=default_monotone_radius(grid.R))
 
 
 def scheme_step(psi: np.ndarray, params: SchemeParams) -> np.ndarray:
@@ -134,22 +132,21 @@ def _golden_min(f, a: float, b: float, xtol: float) -> float:
     return min(fc, fd)
 
 
-def hopf_lax(phi0, t: float, x: float, cost: CostModel, grid: GridSpec,
-             search: int = 8, xtol: float = 1e-10) -> float:
+def hopf_lax(phi0, t: float, x: float, cost: CostModel, grid: GridSpec) -> float:
     """Viscosity solution phi(t, x) = inf_y phi0(y) + t L((x - y)/t).
 
     phi0 is a callable on canonical torus coordinates. The infimum is
     approximated by scanning displacements |x - y| <= lip_H(R) t + dx
-    (the maximal characteristic speed for slope-R data) on a grid `search`
-    times finer than dx, then polishing around the best candidate with a
-    golden-section search to xtol. Implemented for d = 1.
+    (the maximal characteristic speed for slope-R data) on a grid 8 times
+    finer than dx, then polishing around the best candidate with a
+    golden-section search to 1e-10. Implemented for d = 1.
     """
     if grid.d != 1:
         raise NotImplementedError("hopf_lax is implemented for d=1")
     if t <= 0.0:
         return float(phi0(np.asarray(x)))
     window = cost.lip_H(grid.R) * t + grid.dx
-    fine = grid.dx / search
+    fine = grid.dx / 8
     n = int(np.ceil(2.0 * window / fine)) + 1
     y = x + np.linspace(-window, window, n)
 
@@ -162,20 +159,18 @@ def hopf_lax(phi0, t: float, x: float, cost: CostModel, grid: GridSpec,
     k = int(np.argmin(vals))
     lo = y[max(k - 1, 0)]
     hi = y[min(k + 1, n - 1)]
-    polished = _golden_min(lambda yy: float(value(yy)[0]), lo, hi, xtol)
+    polished = _golden_min(lambda yy: float(value(yy)[0]), lo, hi, 1e-10)
     return float(min(vals[k], polished))
 
 
-def random_cr_field(grid: GridSpec, radius: float, rng: np.random.Generator,
-                    n_anchors: int | None = None) -> np.ndarray:
+def random_cr_field(grid: GridSpec, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Random field whose difference quotients are bounded by radius.
 
     Built as a periodic McShane envelope min_k (c_k + radius * dx * dist(j, k))
-    over random anchors, where dist is the l1 torus distance in index space;
-    the envelope inherits the per-axis slope bound by construction.
+    over max(3, N_X // 4) random anchors, with dist the l1 torus distance in
+    index space; the envelope inherits the per-axis slope bound.
     """
-    if n_anchors is None:
-        n_anchors = max(3, grid.N_X // 4)
+    n_anchors = max(3, grid.N_X // 4)
     anchors = rng.integers(0, grid.N_X, size=(n_anchors, grid.d))
     # amplitude of order radius*D so that several anchors stay active
     values = rng.uniform(-radius * grid.D, radius * grid.D, size=n_anchors)
@@ -217,6 +212,8 @@ def check_monotone(params: SchemeParams, trials: int = 1000, seed: int = 0) -> M
     asserts S(psi) <= S(psi') elementwise, plus the sup-norm
     non-expansiveness |S(psi) - S(psi')|_inf <= |psi - psi'|_inf.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     mono_bad = 0
     mono_worst = 0.0

@@ -21,7 +21,13 @@ from .grid import GridSpec
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the per-box quadrature check exceeds its tolerance."""
+    """Raised when the per-box quadrature check exceeds QUAD_TOL."""
+
+
+# largest disagreement between the 20- and 40-node rules on one box piece
+QUAD_TOL = 1e-10
+# residual |T_t(y) - x| at which invert_transport_map accepts y
+INVERSION_TOL = 1e-13
 
 
 def wrap(x, D: float = 1.0):
@@ -47,11 +53,12 @@ class AnalyticMeasure:
     breakpoints: tuple[float, ...] = ()
     D: float = 1.0
 
-    def total_mass(self, n_check: int = 4096) -> float:
-        """Total mass by composite Gauss-Legendre quadrature (exact for atoms)."""
+    def total_mass(self) -> float:
+        """Total mass by 20-node Gauss-Legendre quadrature on 4096 cells
+        (exact for atoms)."""
         if self.atoms is not None:
             return float(sum(m for _, m in self.atoms))
-        edges = np.linspace(-self.D / 2, self.D / 2, n_check + 1)
+        edges = np.linspace(-self.D / 2, self.D / 2, 4096 + 1)
         cuts = np.unique(np.concatenate([edges, wrap(np.asarray(self.breakpoints, dtype=float), self.D)])) \
             if self.breakpoints else edges
         xg, wg = _GL20
@@ -155,38 +162,6 @@ def dirac(x0: float) -> AnalyticMeasure:
     return AnalyticMeasure("dirac", atoms=((float(x0), 1.0),))
 
 
-def from_table(path) -> "tuple[np.ndarray, np.ndarray]":
-    """Read a plain-text table of (grid index, weight) rows.
-
-    Lines starting with '#' are comments; columns are separated by commas
-    or whitespace. Returns (indices, weights).
-    """
-    idx, wts = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ValueError(f"malformed measure table row: {line!r}")
-            idx.append(int(parts[0]))
-            wts.append(float(parts[1]))
-    return np.asarray(idx, dtype=int), np.asarray(wts, dtype=float)
-
-
-def load_discrete_measure(path, grid: GridSpec) -> DiscreteMeasure:
-    """Load a custom discrete measure from a (grid index, weight) table."""
-    if grid.d != 1:
-        raise ValueError("measure tables are supported for d=1 grids")
-    idx, wts = from_table(path)
-    if np.any(idx < 0) or np.any(idx >= grid.N_X):
-        raise ValueError("measure table index out of range")
-    weights = np.zeros(grid.N_X)
-    np.add.at(weights, idx, wts)
-    return DiscreteMeasure(weights)
-
-
 def _atom_index(x: float, grid: GridSpec) -> tuple[int, ...]:
     # half-open box membership: j = floor(x/dx + 1/2) mod N_X per axis
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -194,14 +169,14 @@ def _atom_index(x: float, grid: GridSpec) -> tuple[int, ...]:
     return tuple(int(j) for j in js)
 
 
-def project_measure(mu: AnalyticMeasure, grid: GridSpec, quad_tol: float = 1e-10) -> DiscreteMeasure:
+def project_measure(mu: AnalyticMeasure, grid: GridSpec) -> DiscreteMeasure:
     """Project a measure onto the grid: weight(j) = mu(box centered at j dx).
 
     Atoms are assigned by half-open box membership. Densities are
     integrated per box with Gauss-Legendre rules after splitting the box
     at the measure's (analytically known) kink locations; each piece is
     evaluated with 20- and 40-node rules and their disagreement must stay
-    below quad_tol, else QuadratureError is raised.
+    below QUAD_TOL, else QuadratureError is raised.
     """
     if mu.atoms is not None:
         weights = np.zeros(grid.space_shape)
@@ -237,9 +212,9 @@ def project_measure(mu: AnalyticMeasure, grid: GridSpec, quad_tol: float = 1e-10
 
     i20, i40 = rule(_GL20), rule(_GL40)
     err = np.abs(i20 - i40)
-    if np.max(err, initial=0.0) > quad_tol:
+    if np.max(err, initial=0.0) > QUAD_TOL:
         raise QuadratureError(
-            f"box quadrature disagreement {np.max(err):.3e} exceeds {quad_tol:.1e} "
+            f"box quadrature disagreement {np.max(err):.3e} exceeds {QUAD_TOL:.1e} "
             f"for measure {mu.descriptor!r}; add the missing breakpoints")
     weights = np.zeros(N)
     np.add.at(weights, owner, i40)
@@ -248,13 +223,13 @@ def project_measure(mu: AnalyticMeasure, grid: GridSpec, quad_tol: float = 1e-10
     return DiscreteMeasure(weights)
 
 
-def invert_transport_map(t: float, x, w: float, tol: float = 1e-13):
+def invert_transport_map(t: float, x, w: float):
     """Solve T_t(y) = x for y, where T_t(y) = y + t sin(2 pi w y)/(4 pi w).
 
     T_t is strictly increasing (T_t' >= 1/2 for t <= 1), so the solution is
     unique up to period shifts; Newton from y = x converges to the image
     nearest x. Vectorized over x. Falls back to bisection where Newton
-    fails to reach |T_t(y) - x| <= tol.
+    fails to reach |T_t(y) - x| <= INVERSION_TOL.
     """
     x = np.asarray(x, dtype=float)
     c = 4.0 * np.pi * w
@@ -269,12 +244,12 @@ def invert_transport_map(t: float, x, w: float, tol: float = 1e-13):
     y = x.copy() if x.shape else np.array(x, dtype=float)
     for _ in range(60):
         res = T(y) - x
-        if np.all(np.abs(res) <= tol):
+        if np.all(np.abs(res) <= INVERSION_TOL):
             break
         y = y - res / Tp(y)
     res = np.abs(T(y) - x)
-    if np.any(res > tol):
-        bad = res > tol
+    if np.any(res > INVERSION_TOL):
+        bad = res > INVERSION_TOL
         lo = x[bad] - abs(amp) - 1e-9
         hi = x[bad] + abs(amp) + 1e-9
         for _ in range(200):
@@ -283,7 +258,7 @@ def invert_transport_map(t: float, x, w: float, tol: float = 1e-13):
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         yb = 0.5 * (lo + hi)
-        if np.any(np.abs(T(yb) - x[bad]) > 1e3 * tol):
+        if np.any(np.abs(T(yb) - x[bad]) > 1e3 * INVERSION_TOL):
             raise RuntimeError("transport map inversion did not converge")
         y = np.asarray(y)
         y[bad] = yb

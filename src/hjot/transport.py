@@ -186,28 +186,23 @@ def objective_FD(phi: np.ndarray, pi_mu: DiscreteMeasure, pi_nu: DiscreteMeasure
     return float(np.sum(phi[-1] * pi_nu.weights)) - float(np.sum(phi[0] * pi_mu.weights))
 
 
-def support_threshold(lam: PrimalVars, support_tol: float | None = None) -> float:
-    if support_tol is None:
-        support_tol = 1e-10 * float(np.max(lam.lambda_rho, initial=0.0))
-    return max(support_tol, 0.0)
+def support_threshold(lam: PrimalVars) -> float:
+    """Mass at or below which a cell counts as empty: 1e-10 of the largest."""
+    return 1e-10 * float(np.max(lam.lambda_rho, initial=0.0))
 
 
-def primal_objective(lam: PrimalVars, R: float, cost: CostModel,
-                     support_tol: float | None = None,
-                     momentum_tol: float | None = None,
-                     neg_tol: float = 1e-4) -> float:
+def primal_objective(lam: PrimalVars, R: float, cost: CostModel) -> float:
     """Kinetic action sum L(m/rho) rho + R * l1(eta).
 
     Cells with rho below the support threshold contribute zero when their
-    momentum is negligible and make the objective +inf otherwise (the
-    lower-semicontinuous perspective). Mass entries below -neg_tol raise.
+    momentum is at most 1e-6 max(1, max|m|) and make the objective +inf
+    otherwise (the lower-semicontinuous perspective). Masses below -1e-4 raise.
     """
     rho = lam.lambda_rho
-    if float(np.min(rho, initial=0.0)) < -neg_tol:
+    if float(np.min(rho, initial=0.0)) < -1e-4:
         raise ValueError("infeasible mass signs in primal variables")
-    tol = support_threshold(lam, support_tol)
-    if momentum_tol is None:
-        momentum_tol = 1e-6 * max(1.0, float(np.max(np.abs(lam.lambda_m), initial=0.0)))
+    tol = support_threshold(lam)
+    momentum_tol = 1e-6 * max(1.0, float(np.max(np.abs(lam.lambda_m), initial=0.0)))
     values, orphan = cost.eval_pointwise_cost(np.maximum(rho, 0.0), lam.lambda_m, zero_tol=tol)
     if orphan.any():
         mnorm = np.sqrt(np.sum(lam.lambda_m ** 2, axis=0))
@@ -216,21 +211,19 @@ def primal_objective(lam: PrimalVars, R: float, cost: CostModel,
     return float(np.sum(values)) + R * float(np.sum(np.abs(lam.lambda_eta)))
 
 
-def orphan_momentum(lam: PrimalVars, support_tol: float | None = None) -> float:
+def orphan_momentum(lam: PrimalVars) -> float:
     """Largest momentum magnitude on cells with negligible mass (reported,
     never enforced per iterate)."""
-    tol = support_threshold(lam, support_tol)
-    off = lam.lambda_rho <= tol
+    off = lam.lambda_rho <= support_threshold(lam)
     if not off.any():
         return 0.0
     mnorm = np.sqrt(np.sum(lam.lambda_m ** 2, axis=0))
     return float(np.max(mnorm[off]))
 
 
-def duality_gap(phi: np.ndarray, lam: PrimalVars, problem: TransportProblem,
-                **kwargs) -> float:
+def duality_gap(phi: np.ndarray, lam: PrimalVars, problem: TransportProblem) -> float:
     """primal_objective - F_D; nonnegative up to solver tolerance."""
-    return (primal_objective(lam, problem.R, problem.cost, **kwargs)
+    return (primal_objective(lam, problem.R, problem.cost)
             - objective_FD(phi, problem.pi_mu, problem.pi_nu))
 
 
@@ -253,10 +246,9 @@ def check_dual_feasibility(phi: np.ndarray, problem: TransportProblem) -> Feasib
     return FeasibilityReport(float(np.max(hj)), float(np.max(np.abs(sig.sigma_r))) - problem.R)
 
 
-def recover_velocity(lam: PrimalVars, support_tol: float | None = None) -> np.ndarray:
+def recover_velocity(lam: PrimalVars) -> np.ndarray:
     """V = lambda_m / lambda_rho on the support of lambda_rho, zero elsewhere."""
-    tol = support_threshold(lam, support_tol)
     rho = lam.lambda_rho
-    on = rho > tol
+    on = rho > support_threshold(lam)
     inv = np.where(on, 1.0 / np.where(on, rho, 1.0), 0.0)
     return lam.lambda_m * inv

@@ -183,6 +183,23 @@ def test_config_file_rejections(tmp_path, capsys):
     assert main(["solve", "--config", str(not_obj)]) == 3
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--case", "9"], "unknown test case"),
+    (SOLVE16 + ["--zeta", "0.3"], "non-integral"),
+    (["sweep", "--case", "9", "--n", "16,32"], "unknown test case"),
+    (["verify-scheme", "--n", "4", "--zeta", "4"], "no admissible viscosity"),
+    (["solve", "--case", "2", "--n", "8", "--stop-tol", "nan"], "must be finite and positive"),
+    (["verify-scheme", "--n", "16", "--trials", "0"], "trials must be at least 1"),
+    (["verify-scheme", "--n", "16", "--trials", "-5"], "trials must be at least 1"),
+], ids=["solve-case9", "solve-zeta", "sweep-case9", "verify-empty-interval",
+        "solve-stop-tol-nan", "verify-trials0", "verify-trials-neg"])
+def test_rejected_run_writes_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.filterwarnings("ignore:fewer than 3 usable resolutions")
 def test_sweep_two_resolutions(tmp_path, capsys):
     out = tmp_path / "sw"

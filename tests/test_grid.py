@@ -171,11 +171,9 @@ def test_make_grid_rejects_empty_interval():
 
 def test_make_grid_custom_radius():
     cost = QuadraticCost()
-    g = make_grid(1, 1.0, 16, 16, cost, R=0.3, monotone_radius=0.4)
+    g = make_grid(1, 1.0, 16, 16, cost, R=0.3)
     assert g.R == 0.3
-    assert g.eps == pytest.approx(cost.lip_H(0.4) * g.dx / 2.0)
-    with pytest.raises(ValueError):
-        make_grid(1, 1.0, 16, 16, cost, R=0.3, monotone_radius=0.2)
+    assert g.eps == pytest.approx(cost.lip_H(1.05 * 0.3) * g.dx / 2.0)
 
 
 # np.roll forms of the stencils, as the defining formulas read

@@ -148,6 +148,13 @@ def test_monotone_with_admissible_viscosity(quad):
     assert report.trials == 300
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_check_monotone_needs_a_trial(params4, trials):
+    # no trial run is no evidence: an empty report must not read as a pass
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        check_monotone(params4, trials=trials)
+
+
 def test_monotonicity_fails_without_viscosity(quad):
     g0 = GridSpec(d=1, D=1.0, N_T=16, N_X=16, eps=0.0, R=0.5)
     params = SchemeParams(grid=g0, cost=quad, monotone_on=0.525, validate=False)

@@ -12,9 +12,7 @@ from hjot.measures import (
     dirac,
     double_box,
     double_triangle,
-    from_table,
     invert_transport_map,
-    load_discrete_measure,
     project_measure,
     triangle,
     uniform,
@@ -106,26 +104,6 @@ def test_quadrature_flags_hidden_kink():
         breakpoints=(0.231,))
     pi = project_measure(ok, grid_1d(8))
     assert pi.mass == pytest.approx(5.0 * (0.5 - 0.231), abs=1e-10)
-
-
-def test_measure_table_roundtrip(tmp_path):
-    path = tmp_path / "mu.txt"
-    path.write_text("# index weight\n0, 0.5\n3 0.25\n3 0.25\n")
-    idx, wts = from_table(path)
-    assert idx.tolist() == [0, 3, 3]
-    assert wts.tolist() == [0.5, 0.25, 0.25]
-    pi = load_discrete_measure(path, grid_1d(4))
-    assert pi.weights.tolist() == [0.5, 0.0, 0.0, 0.5]
-
-
-def test_measure_table_rejects_bad_rows(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("0 0.5 extra\n")
-    with pytest.raises(ValueError):
-        from_table(path)
-    path.write_text("9 1.0\n")
-    with pytest.raises(ValueError):
-        load_discrete_measure(path, grid_1d(4))
 
 
 def test_invert_transport_map_trivials():

@@ -184,7 +184,6 @@ def test_support_threshold_scales_with_mass(quad):
     assert support_threshold(lam) == 0.0
     lam.lambda_rho[0, 0] = 2.0
     assert support_threshold(lam) == pytest.approx(2e-10)
-    assert support_threshold(lam, 0.5) == 0.5
 
 
 def test_recover_velocity_basics(quad):

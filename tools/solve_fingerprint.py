@@ -1,0 +1,48 @@
+"""Print a bitwise fingerprint of the four seed-0 benchmark solves.
+
+Usage (no flags; hjot is imported from PYTHONPATH):
+
+    PYTHONPATH=src python tools/solve_fingerprint.py
+
+The first line is the path of the imported hjot package. Then, for each of
+case 2 and case 3 at N = 64 and case 1 at N = 128 and N = 192 (README
+defaults, solved as hjot.bench.solve_instance solves them), it prints the
+iteration count, the final penalty r, the stop reason, and the SHA-256 of
+the raw bytes of phi, of the three Lambda arrays, of the three Sigma
+arrays and of the three residual/objective histories. Two trees that
+print the same lines after the first compute bitwise-identical solves.
+"""
+import hashlib
+
+import numpy as np
+
+import hjot
+from hjot.bench import solve_instance
+
+INSTANCES = ((2, 64), (3, 64), (1, 128), (1, 192))
+
+
+def sha(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def main() -> None:
+    print(hjot.__file__)
+    for case, N in INSTANCES:
+        out = solve_instance(case, N)
+        state = out.state
+        print(f"case{case}-N{N} iters={state.iters} r_final={state.r_final!r} "
+              f"stop_reason={state.stop_reason}")
+        arrays = [("phi", out.phi)]
+        arrays += [(f"lam.{name}", x) for name, x in
+                   zip(("lambda_rho", "lambda_m", "lambda_eta"), out.lam.parts())]
+        arrays += [(f"sigma.{name}", x) for name, x in
+                   zip(("sigma_t", "sigma_x", "sigma_r"), state.sigma.parts())]
+        arrays += [(name, np.asarray(getattr(state, name), dtype=float))
+                   for name in ("primal_res", "dual_res", "objective")]
+        for name, x in arrays:
+            print(f"  {name} {sha(x)}")
+
+
+if __name__ == "__main__":
+    main()
