@@ -20,8 +20,9 @@ run at once.
 The Phi subproblem is a space-periodic elliptic system: the spatial FFT
 diagonalizes it into independent symmetric tridiagonal positive-definite
 systems in time (one per frequency), which are prefactored once with a
-banded Cholesky. The zero frequency is singular with constant kernel and
-is pinned; a global mean subtraction anchors the constant mode.
+tridiagonal LDL^T (LAPACK pttrf/pttrs). The zero frequency is singular with
+constant kernel and is pinned; the constant mode is anchored to mean zero
+on the zero-frequency coefficients.
 """
 from __future__ import annotations
 
@@ -30,8 +31,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .transport import PrimalVars, SigmaVars, TransportProblem, objective_FD
 
@@ -80,7 +80,7 @@ class AdmmState:
 
 
 class SpectralPhiSolver:
-    """Exact solver for A^T A Phi = b via spatial FFT + banded Cholesky.
+    """Exact solver for A^T A Phi = b via spatial FFT + tridiagonal LDL^T.
 
     For each spatial frequency theta the operator reduces to the
     (N_T+1) x (N_T+1) real symmetric tridiagonal matrix
@@ -91,8 +91,9 @@ class SpectralPhiSolver:
     l, g, c the symbols of the Laplacian, centered gradient and forward
     quotient. M is positive definite except at theta = 0, whose kernel is
     the constants; that block is replaced by pinning the first unknown.
-    All blocks are stacked into one banded Cholesky factorization, reused
-    across iterations (the factor does not depend on the penalty r).
+    All blocks are stacked into one tridiagonal system, factored once with
+    LAPACK pttrf (L D L^T) and reused across iterations (the factor does not
+    depend on the penalty r).
     """
 
     def __init__(self, grid):
@@ -113,7 +114,6 @@ class SpectralPhiSolver:
             g2 += (np.sin(th) / grid.dx) ** 2
         c2 = -lam_sym  # |e^{i th} - 1|^2 / dx^2 summed over axes
         F = int(np.prod(freq_shape))
-        self.freq_shape = freq_shape
         beta = (-1.0 / grid.dt - grid.eps * lam_sym).reshape(F)
         gamma = 1.0 / grid.dt
         g2 = g2.reshape(F)
@@ -128,42 +128,48 @@ class SpectralPhiSolver:
         # theta = 0: kernel is the constants; pin the first unknown
         diag[0, 0] = 1.0
         off[0, 1] = 0.0
-        off[0, 0] = 0.0
 
-        ab = np.zeros((2, F * n))
-        ab[1] = diag.reshape(-1)
-        ab[0] = off.reshape(-1)
-        self.n = n
-        self.F = F
-        # Fortran order, as LAPACK reads it, so no call copies the factor
-        self.cho = np.asfortranarray(cholesky_banded(ab, lower=False))
-        # right-hand sides: real and imaginary parts, frequency-major
+        # off[:, 0] = 0 decouples consecutive blocks of the stacked system
+        self.d_fac, self.e_fac, info = dpttrf(diag.reshape(-1), off.reshape(-1)[1:])
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"potential system not positive definite (LAPACK pttrf info = {info})")
+        self._spec = np.empty((n,) + freq_shape, dtype=complex)
+        spec = self._spec.reshape(n, F)
+        # right-hand sides in Fortran order, as LAPACK reads them: column 0
+        # the real parts, column 1 the imaginary parts, frequency-major
         self._rhs = np.empty((F * n, 2), order="F")
-        self._xhat = np.empty(F * n, dtype=complex)
+        # (spectrum part, right-hand side column) pairs, both seen as (n, F).
+        # Real and imaginary parts are copied one at a time: a single copy
+        # through the complex buffer's float view runs an inner loop of
+        # length 2 and took 5x longer at N = 192.
+        self._parts = [(part, col.reshape(F, n).T)
+                       for part, col in zip((spec.real, spec.imag), self._rhs.T)]
+        # real parts of the zero-frequency coefficients, one per time level;
+        # their mean is the mean of Phi times the number of cells in space
+        self._dc = spec.real[:, 0]
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A^T A Phi = b for a Q_D field b; returns a new array.
+    def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Solve A^T A Phi = b for a Q_D field b; the solution has mean zero.
 
         The real and imaginary parts of all frequency blocks go through one
-        LAPACK pbtrs call on a reused Fortran-order (F*n, 2) array. b must be
-        finite: pbtrs does not check, and non-finite input gives a
-        non-finite result.
+        LAPACK pttrs call. The mean is anchored on the zero-frequency
+        coefficients, before the inverse FFT. out (it may be b itself) is
+        allocated when None. b must be finite: pttrs does not check, and
+        non-finite input gives a non-finite result.
         """
-        g = self.grid
-        bhat = np.fft.rfftn(b, axes=self.axes).reshape(self.n, self.F).T  # (F, n)
-        re = self._rhs[:, 0].reshape(self.F, self.n)
-        im = self._rhs[:, 1].reshape(self.F, self.n)
-        np.copyto(re, bhat.real)
-        np.copyto(im, bhat.imag)
-        re[0, 0] = im[0, 0] = 0.0  # pinned unknown of the zero frequency
-        x, info = dpbtrs(self.cho, self._rhs, lower=0, overwrite_b=1)
+        np.fft.rfftn(b, axes=self.axes, out=self._spec)
+        for part, col in self._parts:
+            np.copyto(col, part)
+        self._rhs[0] = 0.0  # pinned unknown of the zero frequency
+        # Fortran-order float64, so pttrs overwrites self._rhs without a copy
+        _, info = dpttrs(self.d_fac, self.e_fac, self._rhs, overwrite_b=1)
         if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
-        xhat = self._xhat
-        np.multiply(1j, x[:, 1], out=xhat)
-        np.add(x[:, 0], xhat, out=xhat)
-        xhat = xhat.reshape(self.F, self.n).T.reshape((self.n,) + self.freq_shape)
-        return np.fft.irfftn(xhat, s=g.space_shape, axes=self.axes)
+            raise ValueError(f"illegal value in argument {-info} of LAPACK pttrs")
+        for part, col in self._parts:
+            np.copyto(part, col)
+        self._dc -= self._dc.mean()
+        return np.fft.irfftn(self._spec, s=self.grid.space_shape, axes=self.axes, out=out)
 
 
 def phi_update(solver, problem: TransportProblem, sigma: SigmaVars,
@@ -182,8 +188,7 @@ def phi_update(solver, problem: TransportProblem, sigma: SigmaVars,
     rhs = problem.operator.apply_transpose(work, out=out)
     np.subtract(problem.objective_data, rhs, out=rhs)
     rhs /= r
-    phi = solver.solve(rhs)
-    return np.subtract(phi, phi.mean(), out=rhs)
+    return solver.solve(rhs, out=rhs)
 
 
 def sigma_update(problem: TransportProblem, a_phi: SigmaVars, lam: PrimalVars,
@@ -218,11 +223,10 @@ def lambda_update(lam: PrimalVars, a_phi: SigmaVars, sigma: SigmaVars,
 
 
 def _norm(arrays) -> float:
-    """Euclidean norm over all the arrays, summed in a fixed order; squares
-    the arrays in place."""
+    """Euclidean norm over all the arrays, summed in a fixed order."""
     total = 0.0
     for x in arrays:
-        total += float(np.sum(np.square(x, out=x)))
+        total += float(np.vdot(x, x))
     return math.sqrt(total)
 
 
@@ -233,9 +237,9 @@ def solve(problem: TransportProblem,
     The run stops when both residuals reach stop_tol, after max_iters
     iterations, or as soon as a residual is not finite; state.stop_reason
     names which. The iterates and the loop's scratch arrays are allocated
-    once, here; within an iteration only the two FFTs of the potential
-    solve and objective_FD's small sums allocate. The residuals and F_D of
-    every iteration are kept in state.primal_res, dual_res and objective.
+    once, here; within an iteration at d = 1 only objective_FD's small
+    sums allocate. The residuals and F_D of every iteration are kept in
+    state.primal_res, dual_res and objective.
     """
     if config is None:
         config = AdmmConfig()

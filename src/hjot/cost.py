@@ -150,7 +150,7 @@ class QuadraticCost(CostModel):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         s, w = (np.empty_like(a), np.empty_like(b)) if out is None else out
-        a_pad, b2, half_b2, lam, opl, tmp, g, infeas, converged, active = \
+        a_pad, b2, half_b2, lam, opl, opl2, tmp, g, infeas, converged, active = \
             self._newton_arrays(a.shape)
         np.multiply(b[0], b[0], out=b2)
         for k in range(1, b.shape[0]):
@@ -172,15 +172,16 @@ class QuadraticCost(CostModel):
         lam.fill(0.0)
         for _ in range(NEWTON_MAX_ITER):
             np.add(1.0, lam, out=opl)
-            np.square(opl, out=tmp)
-            np.divide(half_b2, tmp, out=g)
+            np.square(opl, out=opl2)
+            np.divide(half_b2, opl2, out=g)
             np.subtract(a_pad, lam, out=tmp)
             g += tmp
             np.absolute(g, out=tmp)
             np.less_equal(tmp, NEWTON_TOL, out=converged)
             if converged.all():
                 break
-            np.power(opl, 3, out=tmp)
+            # (1 + lambda)^3 as a product with the kept square, cheaper than pow
+            np.multiply(opl2, opl, out=tmp)
             np.divide(b2, tmp, out=tmp)
             np.subtract(-1.0, tmp, out=tmp)
             np.divide(g, tmp, out=tmp)
@@ -218,7 +219,7 @@ class QuadraticCost(CostModel):
     def _newton_arrays(self, shape: tuple) -> tuple:
         """Scratch arrays of project_onto_K, reallocated when the shape changes."""
         if not self._newton or self._newton[0].shape != shape:
-            self._newton = (tuple(np.empty(shape) for _ in range(7))
+            self._newton = (tuple(np.empty(shape) for _ in range(8))
                             + tuple(np.empty(shape, dtype=bool) for _ in range(3)))
         return self._newton
 

@@ -53,21 +53,6 @@ class AnalyticMeasure:
     breakpoints: tuple[float, ...] = ()
     D: float = 1.0
 
-    def total_mass(self) -> float:
-        """Total mass by 20-node Gauss-Legendre quadrature on 4096 cells
-        (exact for atoms)."""
-        if self.atoms is not None:
-            return float(sum(m for _, m in self.atoms))
-        edges = np.linspace(-self.D / 2, self.D / 2, 4096 + 1)
-        cuts = np.unique(np.concatenate([edges, wrap(np.asarray(self.breakpoints, dtype=float), self.D)])) \
-            if self.breakpoints else edges
-        xg, wg = _GL20
-        mids = 0.5 * (cuts[1:] + cuts[:-1])
-        half = 0.5 * np.diff(cuts)
-        nodes = mids[:, None] + half[:, None] * xg[None, :]
-        vals = self.density(wrap(nodes, self.D))
-        return float(np.sum(vals * wg[None, :] * half[:, None]))
-
 
 @dataclass(frozen=True)
 class DiscreteMeasure:

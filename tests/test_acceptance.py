@@ -13,8 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from hjot.admm import AdmmConfig, SpectralPhiSolver, phi_update, solve
-from hjot.bench import run_sweep, solve_instance
+from hjot.admm import SpectralPhiSolver, phi_update, solve
+from hjot.bench import run_sweep
 from hjot.cost import QuadraticCost
 from hjot.grid import GridSpec, make_grid
 from hjot.hj import (SchemeParams, check_monotone, consistency_residual,

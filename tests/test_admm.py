@@ -12,6 +12,7 @@ from hjot.admm import (
     sigma_update,
     solve,
 )
+from hjot.bench import solve_instance
 from hjot.grid import GridSpec, make_grid
 from hjot.measures import DiscreteMeasure, build_test_case, project_measure, uniform
 from hjot.transport import PrimalVars, SigmaVars, assemble_problem, duality_gap
@@ -100,6 +101,44 @@ def test_phi_update_matches_dense_least_squares(quad, d, n_x):
         dense, *_ = np.linalg.lstsq(r * (A.T @ A), rhs, rcond=None)
         dense = dense.reshape(phi.shape)
         assert np.allclose(phi - phi.mean(), dense - dense.mean(), atol=1e-8)
+
+
+@pytest.mark.parametrize("d,n_t,n_x", [(1, 16, 16), (1, 192, 192), (2, 12, 8), (2, 36, 24)])
+def test_phi_solver_returns_mean_zero_field(quad, d, n_t, n_x):
+    g = make_grid(d, 1.0, n_t, n_x, quad)
+    b = np.random.default_rng(34).standard_normal((g.N_T + 1,) + g.space_shape)
+    phi = SpectralPhiSolver(g).solve(b)
+    assert abs(phi.mean()) <= 1e-15 * np.max(np.abs(phi))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_phi_solver_out_matches_allocating_form(quad, d):
+    g = make_grid(d, 1.0, 12, 8, quad)
+    b = np.random.default_rng(35).standard_normal((g.N_T + 1,) + g.space_shape)
+    solver = SpectralPhiSolver(g)
+    fresh = solver.solve(b)
+    out = np.full_like(b, np.nan)
+    assert solver.solve(b, out=out) is out
+    assert np.array_equal(out, fresh)
+    in_place = b.copy()
+    solver.solve(in_place, out=in_place)
+    assert np.array_equal(in_place, fresh)
+
+
+# (iterations, K_D) recorded at commit 5f7aeef, with the banded Cholesky
+# potential solve and the pow-based projection. A change that only rounds
+# differently keeps K_D within 1e-10 relative and the count within 1 %.
+RECORDED_SOLVES = {(2, 16): (1075, 0.021763552510060607),
+                   (1, 32): (257, 0.002175593841533474)}
+
+
+@pytest.mark.parametrize("case_id,n", sorted(RECORDED_SOLVES))
+def test_solve_stays_within_the_numerical_gate(case_id, n, case2_n16):
+    out = case2_n16 if (case_id, n) == (2, 16) else solve_instance(case_id, n)
+    iters, k_d = RECORDED_SOLVES[case_id, n]
+    assert out.state.converged
+    assert abs(out.state.iters - iters) <= 0.01 * iters
+    assert abs(out.record.K_D - k_d) <= 1e-10 * abs(k_d)
 
 
 def test_sigma_update_keeps_feasible_points(quad):

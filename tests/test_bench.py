@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from hjot.bench import (
     report_to_json,
     resolve_nx,
     run_sweep,
-    solve_instance,
 )
 from hjot.grid import make_grid
 from hjot.measures import build_test_case, project_measure

@@ -116,11 +116,6 @@ def test_solve_zero_iteration_cap_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_invalid_case_exits_3(tmp_path, capsys):
-    assert main(["solve", "--case", "9", "--out", str(tmp_path / "o")]) == 3
-    assert "error:" in capsys.readouterr().err
-
-
 def test_missing_case_exits_3(tmp_path):
     assert main(["solve", "--out", str(tmp_path / "o")]) == 3
 
@@ -128,10 +123,6 @@ def test_missing_case_exits_3(tmp_path):
 def test_solve_rejects_resolution_list(tmp_path):
     assert main(["solve", "--case", "2", "--n", "16,32",
                  "--out", str(tmp_path / "o")]) == 3
-
-
-def test_bad_zeta_exits_3(tmp_path):
-    assert main(SOLVE16 + ["--zeta", "0.3", "--out", str(tmp_path / "o")]) == 3
 
 
 def test_unknown_flag_exits_3(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hjot.cost import PowerCost, QuadraticCost, make_cost
+from hjot.cost import NEWTON_TOL, PowerCost, QuadraticCost, make_cost
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -85,6 +85,24 @@ def test_project_vectorized_matches_scalar(quad):
             s_ref, w_ref = project_oracle(a[i, j], b[:, i, j])
             assert abs(s[i, j] - s_ref) <= 1e-10
             assert abs(w[0, i, j] - w_ref[0]) <= 1e-10
+
+
+def test_project_extreme_inputs_match_bisection(quad):
+    # |b| up to 1e6, a down to -1e6, points on and just outside the boundary
+    # a = -|b|^2/2, all in one call so that feasible cells pad the Newton steps
+    pts = [(a, sign * b)
+           for b in (0.0, 1e-6, 1e-3, 1.0, 1e3, 1e6)
+           for a in (-1e6, -1e3, -1.0, 0.0, 1.0, 1e3, 1e6)
+           for sign in (1.0, -1.0)]
+    pts += [(-0.5 * b * b + shift, b)
+            for b in (0.0, 1e-3, 1.0, 1e3, 1414.0) for shift in (0.0, 1e-9, 1e-3)]
+    a = np.array([p[0] for p in pts])
+    b = np.array([[p[1] for p in pts]])
+    s, w = quad.project_onto_K(a, b)
+    for i, (ai, bi) in enumerate(pts):
+        s_ref, w_ref = project_oracle(ai, np.array([bi]))
+        assert abs(s[i] - s_ref) <= NEWTON_TOL, (ai, bi)
+        assert abs(w[0, i] - w_ref[0]) <= NEWTON_TOL, (ai, bi)
 
 
 @settings(max_examples=200, deadline=None)

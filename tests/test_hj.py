@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hjot.cost import QuadraticCost
 from hjot.grid import GridSpec, forward_diff, make_grid
 from hjot.hj import (
     SchemeParams,

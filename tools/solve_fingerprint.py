@@ -1,4 +1,4 @@
-"""Print a bitwise fingerprint of the four seed-0 benchmark solves.
+"""Print a fingerprint of the four seed-0 benchmark solves, by value and by hash.
 
 Usage (no flags; hjot is imported from PYTHONPATH):
 
@@ -7,10 +7,12 @@ Usage (no flags; hjot is imported from PYTHONPATH):
 The first line is the path of the imported hjot package. Then, for each of
 case 2 and case 3 at N = 64 and case 1 at N = 128 and N = 192 (README
 defaults, solved as hjot.bench.solve_instance solves them), it prints the
-iteration count, the final penalty r, the stop reason, and the SHA-256 of
-the raw bytes of phi, of the three Lambda arrays, of the three Sigma
-arrays and of the three residual/objective histories. Two trees that
-print the same lines after the first compute bitwise-identical solves.
+iteration count, the final penalty r, the stop reason and K_D (repr), and
+the SHA-256 of the raw bytes of phi, of the three Lambda arrays, of the
+three Sigma arrays and of the three residual/objective histories. Two
+trees that print the same lines after the first compute bitwise-identical
+solves; two trees whose solves differ in rounding are compared by the
+iteration counts and K_D values.
 """
 import hashlib
 
@@ -32,7 +34,7 @@ def main() -> None:
         out = solve_instance(case, N)
         state = out.state
         print(f"case{case}-N{N} iters={state.iters} r_final={state.r_final!r} "
-              f"stop_reason={state.stop_reason}")
+              f"stop_reason={state.stop_reason} K_D={out.record.K_D!r}")
         arrays = [("phi", out.phi)]
         arrays += [(f"lam.{name}", x) for name, x in
                    zip(("lambda_rho", "lambda_m", "lambda_eta"), out.lam.parts())]
