@@ -17,7 +17,7 @@ from .hj import (SchemeParams, check_monotone, hopf_lax, make_scheme,
 from .measures import (AnalyticMeasure, DiscreteMeasure, build_test_case,
                        project_measure)
 from .transport import (PrimalVars, SigmaVars, TransportProblem,
-                        assemble_problem, duality_gap, objective_FD,
+                        assemble_problem, objective_FD,
                         primal_objective, recover_velocity)
 
 __version__ = "0.1.0"
@@ -32,6 +32,6 @@ __all__ = [
     "scheme_step", "solve_ivp",
     "AnalyticMeasure", "DiscreteMeasure", "build_test_case", "project_measure",
     "PrimalVars", "SigmaVars", "TransportProblem", "assemble_problem",
-    "duality_gap", "objective_FD", "primal_objective", "recover_velocity",
+    "objective_FD", "primal_objective", "recover_velocity",
     "__version__",
 ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -65,18 +65,22 @@ class AdmmConfig:
 
 @dataclass
 class AdmmState:
-    """Iterates and residual histories of one solve."""
+    """Split variable, residual histories and final F_D of one solve.
 
-    phi: np.ndarray
+    solve returns Phi and Lambda next to the state, not in it.
+    """
+
     sigma: SigmaVars
-    lam: PrimalVars
     iters: int
-    primal_res: list[float] = field(default_factory=list)
-    dual_res: list[float] = field(default_factory=list)
-    objective: list[float] = field(default_factory=list)
-    converged: bool = False
-    r_final: float = 0.0
-    stop_reason: str = ""  # "converged", "max_iters" or "non_finite"
+    primal_res: list[float]
+    dual_res: list[float]
+    objective: float  # F_D of the returned Phi
+    r_final: float
+    stop_reason: str  # "converged", "max_iters" or "non_finite"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 class SpectralPhiSolver:
@@ -237,9 +241,8 @@ def solve(problem: TransportProblem,
     The run stops when both residuals reach stop_tol, after max_iters
     iterations, or as soon as a residual is not finite; state.stop_reason
     names which. The iterates and the loop's scratch arrays are allocated
-    once, here; within an iteration at d = 1 only objective_FD's small
-    sums allocate. The residuals and F_D of every iteration are kept in
-    state.primal_res, dual_res and objective.
+    once, here. The residuals of every iteration are kept in
+    state.primal_res and dual_res; state.objective is F_D of the returned Phi.
     """
     if config is None:
         config = AdmmConfig()
@@ -254,8 +257,8 @@ def solve(problem: TransportProblem,
     sigma = sigma_update(problem, A.apply(phi, out=a_phi), lam, r)
     solver = SpectralPhiSolver(g)
 
-    state = AdmmState(phi=phi, sigma=sigma, lam=lam, iters=0)
-
+    primal_res, dual_res = [], []
+    stop_reason = "max_iters"
     for it in range(1, config.max_iters + 1):
         # lam_next is free until lambda_update, so phi_update uses it as scratch
         phi = phi_update(solver, problem, sigma, lam, r, out=phi, work=lam_next)
@@ -273,21 +276,17 @@ def solve(problem: TransportProblem,
         dual = r * _norm([A.apply_transpose(PrimalVars(*sigma.parts()), out=a_t_delta)])
         sigma, sigma_next = sigma_next, sigma
 
-        state.primal_res.append(primal)
-        state.dual_res.append(dual)
-        state.objective.append(objective_FD(phi, problem.pi_mu, problem.pi_nu))
+        primal_res.append(primal)
+        dual_res.append(dual)
 
         if not (math.isfinite(primal) and math.isfinite(dual)):
-            state.stop_reason = "non_finite"
-            state.iters = it
+            stop_reason = "non_finite"
             warnings.warn(f"ADMM stopped at iteration {it}: non-finite residual "
                           f"(primal {primal:.3e}, dual {dual:.3e})")
             break
 
         if primal <= config.stop_tol and dual <= config.stop_tol:
-            state.converged = True
-            state.stop_reason = "converged"
-            state.iters = it
+            stop_reason = "converged"
             break
 
         if primal > BALANCE_RATIO * dual:
@@ -295,14 +294,9 @@ def solve(problem: TransportProblem,
         elif dual > BALANCE_RATIO * primal:
             r /= 2.0
     else:
-        state.iters = config.max_iters
-        state.stop_reason = "max_iters"
         warnings.warn(
             f"ADMM did not converge in {config.max_iters} iterations "
-            f"(primal {state.primal_res[-1]:.3e}, dual {state.dual_res[-1]:.3e})")
+            f"(primal {primal:.3e}, dual {dual:.3e})")
 
-    state.phi = phi
-    state.sigma = sigma
-    state.lam = lam
-    state.r_final = r
-    return phi, lam, state
+    fd = objective_FD(phi, problem.pi_mu, problem.pi_nu)
+    return phi, lam, AdmmState(sigma, it, primal_res, dual_res, fd, r, stop_reason)

@@ -27,8 +27,7 @@ from .admm import AdmmConfig, solve
 from .cost import make_cost
 from .grid import GridSpec, centered_gradient, make_grid
 from .measures import DEFAULT_W, build_test_case, project_measure
-from .transport import (PrimalVars, assemble_problem, objective_FD,
-                        primal_objective, recover_velocity)
+from .transport import PrimalVars, assemble_problem, primal_objective, recover_velocity
 
 # Empirical convergence orders observed for this scheme in the original
 # convergence study of the three test cases; used as benchmark references.
@@ -174,7 +173,7 @@ def solve_instance(case_id: int, N: int, *, w: float | None = None,
     wall = time.perf_counter() - t0
 
     K_D = primal_objective(lam, problem.R, cost)
-    fd = objective_FD(phi, pi_mu, pi_nu)
+    fd = state.objective
     gap = abs(K_D - fd) if math.isfinite(K_D) else math.inf
     K_for_errors = K_D if math.isfinite(K_D) else fd
     V = recover_velocity(lam)

@@ -50,13 +50,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+# the keys solve and sweep share; the ADMM ones default to AdmmConfig's
+_ADMM = AdmmConfig()
+_SOLVER_DEFAULTS = dict(case=None, param=None, zeta=1.0, cost="quadratic", clamp_R=None,
+                        admm_r=_ADMM.r, stop_tol=_ADMM.stop_tol, max_iters=_ADMM.max_iters,
+                        out="out", seed=0)
 DEFAULTS = {
-    "solve": dict(case=None, param=None, n="32", zeta=1.0, cost="quadratic",
-                  clamp_R=None, admm_r=1.0, stop_tol=1e-5, max_iters=200000,
-                  out="out", seed=0),
-    "sweep": dict(case=None, param=None, n="16,32,64,128", zeta=1.0,
-                  cost="quadratic", clamp_R=None, admm_r=1.0, stop_tol=1e-5,
-                  max_iters=200000, out="out", seed=0),
+    "solve": dict(_SOLVER_DEFAULTS, n="32"),
+    "sweep": dict(_SOLVER_DEFAULTS, n="16,32,64,128"),
     "verify-scheme": dict(n="32", zeta=1.0, cost="quadratic", clamp_R=None,
                           eps=None, trials=1000, out="out", seed=0),
     "hj-ivp": dict(n="16,32,64,128", zeta=1.0, cost="quadratic", clamp_R=None,

@@ -79,11 +79,6 @@ class GridSpec:
         return self.dt
 
     @property
-    def diam(self) -> float:
-        """Diameter of the torus, D*sqrt(d)/2."""
-        return self.D * np.sqrt(self.d) / 2.0
-
-    @property
     def space_shape(self) -> tuple[int, ...]:
         return (self.N_X,) * self.d
 

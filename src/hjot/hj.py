@@ -55,10 +55,6 @@ class SchemeParams:
                 f"eps/dx = {ratio:g} outside the monotone interval "
                 f"[{lo:g}, {hi:g}] at slope radius {self.monotone_on:g}")
 
-    @property
-    def delta(self) -> float:
-        return self.monotone_on - self.grid.R
-
 
 def make_scheme(grid: GridSpec, cost: CostModel) -> SchemeParams:
     """SchemeParams on the radius default_monotone_radius(R), the radius

@@ -201,49 +201,13 @@ def primal_objective(lam: PrimalVars, R: float, cost: CostModel) -> float:
     rho = lam.lambda_rho
     if float(np.min(rho, initial=0.0)) < -1e-4:
         raise ValueError("infeasible mass signs in primal variables")
-    tol = support_threshold(lam)
+    on = rho > support_threshold(lam)
     momentum_tol = 1e-6 * max(1.0, float(np.max(np.abs(lam.lambda_m), initial=0.0)))
-    values, orphan = cost.eval_pointwise_cost(np.maximum(rho, 0.0), lam.lambda_m, zero_tol=tol)
-    if orphan.any():
-        mnorm = np.sqrt(np.sum(lam.lambda_m ** 2, axis=0))
-        if float(np.max(mnorm[orphan])) > momentum_tol:
-            return math.inf
-    return float(np.sum(values)) + R * float(np.sum(np.abs(lam.lambda_eta)))
-
-
-def orphan_momentum(lam: PrimalVars) -> float:
-    """Largest momentum magnitude on cells with negligible mass (reported,
-    never enforced per iterate)."""
-    off = lam.lambda_rho <= support_threshold(lam)
-    if not off.any():
-        return 0.0
     mnorm = np.sqrt(np.sum(lam.lambda_m ** 2, axis=0))
-    return float(np.max(mnorm[off]))
-
-
-def duality_gap(phi: np.ndarray, lam: PrimalVars, problem: TransportProblem) -> float:
-    """primal_objective - F_D; nonnegative up to solver tolerance."""
-    return (primal_objective(lam, problem.R, problem.cost)
-            - objective_FD(phi, problem.pi_mu, problem.pi_nu))
-
-
-@dataclass
-class FeasibilityReport:
-    """Signed worst-case constraint residuals of a dual potential."""
-
-    hj_violation: float     # max of A_t Phi + H(A_x Phi) over Q'_D
-    clamp_violation: float  # max |A_R Phi| - R over the initial slice
-
-    @property
-    def ok(self) -> bool:
-        return self.hj_violation <= 0.0 and self.clamp_violation <= 0.0
-
-
-def check_dual_feasibility(phi: np.ndarray, problem: TransportProblem) -> FeasibilityReport:
-    sig = problem.operator.apply(phi)
-    hj = sig.sigma_t + problem.cost.eval_H(sig.sigma_x)
-    # the clamp constraint is componentwise: |(A_R Phi)_k| <= R for every axis
-    return FeasibilityReport(float(np.max(hj)), float(np.max(np.abs(sig.sigma_r))) - problem.R)
+    if float(np.max(mnorm[~on], initial=0.0)) > momentum_tol:
+        return math.inf
+    values = np.where(on, rho * cost.eval_L(recover_velocity(lam)), 0.0)
+    return float(np.sum(values)) + R * float(np.sum(np.abs(lam.lambda_eta)))
 
 
 def recover_velocity(lam: PrimalVars) -> np.ndarray:

@@ -10,16 +10,17 @@ def small_grid(N_X=4, N_T=4, d=1, eps=0.0625, R=0.5):
     return GridSpec(d=d, D=1.0, N_T=N_T, N_X=N_X, eps=eps, R=R)
 
 
-def test_spec_derived_quantities():
+def test_spec_derived_quantities(quad):
     g = small_grid(N_X=8, N_T=16)
     assert g.dt == 1.0 / 16
     assert g.dx == 1.0 / 8
     assert g.zeta == g.dt / g.dx
     assert g.h == g.dt
-    assert g.diam == 0.5
     assert g.space_shape == (8,)
     assert np.allclose(g.spatial_nodes(), np.arange(8) / 8)
     assert np.allclose(g.times(), np.arange(17) / 16)
+    # the default clamp is lip_L of the torus diameter D sqrt(d) / 2 = 0.5
+    assert make_grid(1, 1.0, 16, 8, quad).R == quad.lip_L(0.5)
 
 
 @pytest.mark.parametrize("kw", [dict(d=0), dict(N_T=0), dict(N_X=0),

@@ -110,7 +110,6 @@ def test_make_scheme_default_radius(quad):
     g = make_grid(1, 1.0, 16, 16, quad)
     params = make_scheme(g, quad)
     assert params.monotone_on == pytest.approx(1.05 * g.R)
-    assert params.delta == pytest.approx(0.05 * g.R)
 
 
 def test_random_cr_field_slope_bounded(quad):

@@ -7,12 +7,12 @@ Usage (no flags; hjot is imported from PYTHONPATH):
 The first line is the path of the imported hjot package. Then, for each of
 case 2 and case 3 at N = 64 and case 1 at N = 128 and N = 192 (README
 defaults, solved as hjot.bench.solve_instance solves them), it prints the
-iteration count, the final penalty r, the stop reason and K_D (repr), and
-the SHA-256 of the raw bytes of phi, of the three Lambda arrays, of the
-three Sigma arrays and of the three residual/objective histories. Two
-trees that print the same lines after the first compute bitwise-identical
-solves; two trees whose solves differ in rounding are compared by the
-iteration counts and K_D values.
+iteration count, the final penalty r, the stop reason, K_D and the final
+dual objective F_D (both repr), and the SHA-256 of the raw bytes of phi, of
+the three Lambda arrays, of the three Sigma arrays and of the two residual
+histories. Two trees that print the same lines after the first compute
+bitwise-identical solves; two trees whose solves differ in rounding are
+compared by the iteration counts, K_D and F_D values.
 """
 import hashlib
 
@@ -34,14 +34,15 @@ def main() -> None:
         out = solve_instance(case, N)
         state = out.state
         print(f"case{case}-N{N} iters={state.iters} r_final={state.r_final!r} "
-              f"stop_reason={state.stop_reason} K_D={out.record.K_D!r}")
+              f"stop_reason={state.stop_reason} K_D={out.record.K_D!r} "
+              f"F_D={state.objective!r}")
         arrays = [("phi", out.phi)]
         arrays += [(f"lam.{name}", x) for name, x in
                    zip(("lambda_rho", "lambda_m", "lambda_eta"), out.lam.parts())]
         arrays += [(f"sigma.{name}", x) for name, x in
                    zip(("sigma_t", "sigma_x", "sigma_r"), state.sigma.parts())]
         arrays += [(name, np.asarray(getattr(state, name), dtype=float))
-                   for name in ("primal_res", "dual_res", "objective")]
+                   for name in ("primal_res", "dual_res")]
         for name, x in arrays:
             print(f"  {name} {sha(x)}")
 
