@@ -13,10 +13,7 @@ variation, so values are comparable across resolutions.
 """
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 import time
 import warnings
 from dataclasses import dataclass
@@ -235,54 +232,3 @@ def run_sweep(case_id: int, resolutions, *, w: float | None = None,
         comparator_rates=dict(COMPARATOR_RATES[case_id]),
     )
 
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return "%.17g" % x
-
-
-def records_to_csv(report: ConvergenceReport) -> str:
-    lines = [f"# case={report.case_id} w={_fmt(report.w)}",
-             "N,h,K_D,eps_K,eps_phi,eps_v,eps_rho,iters,wall_time,converged,duality_gap"]
-    for r in report.records:
-        lines.append(",".join([
-            str(r.N), _fmt(r.h), _fmt(r.K_D), _fmt(r.eps_K), _fmt(r.eps_phi),
-            _fmt(r.eps_v), _fmt(r.eps_rho), str(r.iters), _fmt(r.wall_time),
-            str(int(r.converged)), _fmt(r.duality_gap)]))
-    return "\n".join(lines) + "\n"
-
-
-def report_to_json(report: ConvergenceReport) -> str:
-    payload = {
-        "case_id": report.case_id,
-        "w": report.w,
-        "alpha_K": report.alpha_K,
-        "alpha_phi": report.alpha_phi,
-        "alpha_v": report.alpha_v,
-        "alpha_rho": report.alpha_rho,
-        "reference_rates": report.reference_rates,
-        "comparator_rates": report.comparator_rates,
-        "records": [{
-            "N": r.N, "h": r.h, "K_D": r.K_D, "eps_K": r.eps_K,
-            "eps_phi": r.eps_phi, "eps_v": r.eps_v, "eps_rho": r.eps_rho,
-            "iters": r.iters, "wall_time": r.wall_time,
-            "converged": r.converged, "duality_gap": r.duality_gap,
-        } for r in report.records],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

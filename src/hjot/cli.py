@@ -7,6 +7,10 @@ Subcommands:
   verify-scheme  randomized property checks of the finite-difference scheme
   hj-ivp         scheme vs Hopf-Lax oracle on an initial-value problem
 
+Each command is one COMMANDS entry, whose defaults name its config keys;
+FLAGS gives each key's type and help, and its flag is "--" + the key with
+"_" turned into "-". Every artifact format is defined in this module.
+
 Configuration comes from flags, optionally seeded by a JSON config file
 (flags override the file). The resolved configuration is echoed to stdout
 and, once the run is done, into the output directory, so any run can be
@@ -24,14 +28,15 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 from .admm import AdmmConfig
-from .bench import (atomic_write_text, fit_rate, records_to_csv,
-                    report_to_json, resolve_nx, run_sweep, solve_instance)
+from .bench import (ConvergenceReport, ErrorRecord, fit_rate, resolve_nx, run_sweep,
+                    solve_instance)
 from .cost import make_cost
-from .grid import GridSpec, default_monotone_radius, make_grid
+from .grid import GridSpec, make_grid
 from .hj import (SchemeParams, check_monotone, consistency_residual, hopf_lax,
                  make_scheme, max_slope, random_cr_field, solve_ivp)
 from .measures import DEFAULT_W, wrap
@@ -50,18 +55,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-# the keys solve and sweep share; the ADMM ones default to AdmmConfig's
-_ADMM = AdmmConfig()
-_SOLVER_DEFAULTS = dict(case=None, param=None, zeta=1.0, cost="quadratic", clamp_R=None,
-                        admm_r=_ADMM.r, stop_tol=_ADMM.stop_tol, max_iters=_ADMM.max_iters,
-                        out="out", seed=0)
-DEFAULTS = {
-    "solve": dict(_SOLVER_DEFAULTS, n="32"),
-    "sweep": dict(_SOLVER_DEFAULTS, n="16,32,64,128"),
-    "verify-scheme": dict(n="32", zeta=1.0, cost="quadratic", clamp_R=None,
-                          eps=None, trials=1000, out="out", seed=0),
-    "hj-ivp": dict(n="16,32,64,128", zeta=1.0, cost="quadratic", clamp_R=None,
-                   out="out", seed=0),
+FLAGS = {
+    "case": (int, "test case id: 1, 2 or 3"),
+    "param": (float, "test case parameter w (case-specific default)"),
+    "n": (str, "time subdivisions, comma-separated list"),
+    "zeta": (float, "ratio dt/dx (default 1)"),
+    "cost": (str, "cost model: quadratic or power:p"),
+    "clamp_R": (float, "slope clamp R (default: cost Lipschitz bound)"),
+    "admm_r": (float, "ADMM penalty parameter"),
+    "stop_tol": (float, "residual tolerance (primal and dual)"),
+    "max_iters": (int, "ADMM iteration cap"),
+    "eps": (float, "viscosity override (0 demonstrates failure)"),
+    "trials": (int, "randomized trial count"),
+    "out": (str, "output directory"),
+    "seed": (int, "seed for randomized checks"),
 }
 
 
@@ -70,65 +77,20 @@ def build_parser() -> _Parser:
                 description="dynamic optimal transport via a monotone "
                             "finite-difference discretization of the dual problem")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(sp, *flags):
-        for f in flags:
-            if f == "case":
-                sp.add_argument("--case", type=int, help="test case id: 1, 2 or 3")
-            elif f == "param":
-                sp.add_argument("--param", type=float,
-                                help="test case parameter w (case-specific default)")
-            elif f == "n":
-                sp.add_argument("--n", type=str,
-                                help="time subdivisions, comma-separated list")
-            elif f == "zeta":
-                sp.add_argument("--zeta", type=float, help="ratio dt/dx (default 1)")
-            elif f == "cost":
-                sp.add_argument("--cost", type=str,
-                                help="cost model: quadratic or power:p")
-            elif f == "clamp_R":
-                sp.add_argument("--clamp-R", dest="clamp_R", type=float,
-                                help="slope clamp R (default: cost Lipschitz bound)")
-            elif f == "admm_r":
-                sp.add_argument("--admm-r", dest="admm_r", type=float,
-                                help="ADMM penalty parameter")
-            elif f == "stop_tol":
-                sp.add_argument("--stop-tol", dest="stop_tol", type=float,
-                                help="residual tolerance (primal and dual)")
-            elif f == "max_iters":
-                sp.add_argument("--max-iters", dest="max_iters", type=int,
-                                help="ADMM iteration cap")
-            elif f == "out":
-                sp.add_argument("--out", type=str, help="output directory")
-            elif f == "config":
-                sp.add_argument("--config", type=str,
-                                help="JSON config file; flags override its entries")
-            elif f == "seed":
-                sp.add_argument("--seed", type=int, help="seed for randomized checks")
-            elif f == "eps":
-                sp.add_argument("--eps", type=float,
-                                help="viscosity override (0 demonstrates failure)")
-            elif f == "trials":
-                sp.add_argument("--trials", type=int, help="randomized trial count")
-
-    sp = sub.add_parser("solve", help="solve one instance")
-    add(sp, "case", "param", "n", "zeta", "cost", "clamp_R", "admm_r",
-        "stop_tol", "max_iters", "out", "config", "seed")
-    sp = sub.add_parser("sweep", help="resolution sweep with rate fits")
-    add(sp, "case", "param", "n", "zeta", "cost", "clamp_R", "admm_r",
-        "stop_tol", "max_iters", "out", "config", "seed")
-    sp = sub.add_parser("verify-scheme", help="scheme property checks")
-    add(sp, "n", "zeta", "cost", "clamp_R", "eps", "trials", "out", "config", "seed")
-    sp = sub.add_parser("hj-ivp", help="Hamilton-Jacobi IVP vs Hopf-Lax oracle")
-    add(sp, "n", "zeta", "cost", "clamp_R", "out", "config", "seed")
+    for name, (_, help_text, defaults) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--config", help="JSON config file; flags override its entries")
+        for key in defaults:
+            kind, flag_help = FLAGS[key]
+            sp.add_argument("--" + key.replace("_", "-"), type=kind, help=flag_help)
     return p
 
 
 def resolve_config(ns: argparse.Namespace) -> dict:
-    """DEFAULTS <- config file <- flags, with unknown keys rejected."""
+    """The command's defaults <- config file <- flags, with unknown keys rejected."""
     cmd = ns.command
-    cfg = dict(DEFAULTS[cmd])
-    if getattr(ns, "config", None):
+    cfg = dict(COMMANDS[cmd][2])
+    if ns.config:
         try:
             with open(ns.config) as f:
                 file_cfg = json.load(f)
@@ -146,7 +108,7 @@ def resolve_config(ns: argparse.Namespace) -> dict:
                 raise ConfigError(f"unknown config key {k!r} for {cmd}")
             cfg[k] = v
     for k in cfg:
-        v = getattr(ns, k, None)
+        v = getattr(ns, k)
         if v is not None:
             cfg[k] = v
     cfg["command"] = cmd
@@ -175,7 +137,51 @@ def _jsonable(x):
     return x
 
 
-# ---------------------------------------------------------------- grid CSV
+# ------------------------------------------------------------- artifacts
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write via a temp file in the same directory plus rename."""
+    d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _cell(x) -> str:
+    """CSV cell: empty for None, 0/1 for bools, str for ints, %.17g for floats."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
+    return "%.17g" % x
+
+
+def records_to_csv(report: ConvergenceReport) -> str:
+    """One row per ErrorRecord, its fields as the columns in declaration order."""
+    names = [f.name for f in dataclasses.fields(ErrorRecord)]
+    lines = [f"# case={report.case_id} w={_cell(report.w)}", ",".join(names)]
+    lines += [",".join(_cell(getattr(r, name)) for name in names)
+              for r in report.records]
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(payload) -> str:
+    """The JSON format of every artifact: sorted keys, two-space indent."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def report_to_json(report: ConvergenceReport) -> str:
+    return _json_text(dataclasses.asdict(report))
+
 
 def _grid_meta(grid: GridSpec) -> str:
     return ("# N_T=%d N_X=%d d=%d D=%.17g dt=%.17g dx=%.17g eps=%.17g R=%.17g"
@@ -193,25 +199,17 @@ def write_grid_csv(path: str, field: np.ndarray, grid: GridSpec, name: str) -> N
     """
     arr = np.asarray(field, dtype=float)
     if arr.ndim == 1 + grid.d:
-        kind = "scalar"
-        jcols = ["j"] if grid.d == 1 else [f"j{k}" for k in range(grid.d)]
-        header = ",".join(["i"] + jcols + ["value"])
+        kind, lead = "scalar", ["i"]
     elif arr.ndim == 2 + grid.d and arr.shape[0] == grid.d:
-        kind = "vector"
-        jcols = ["j"] if grid.d == 1 else [f"j{k}" for k in range(grid.d)]
-        header = ",".join(["i", "k"] + jcols + ["value"])
+        kind, lead = "vector", ["i", "k"]
     else:
         raise ValueError(f"unexpected field shape {arr.shape}")
+    jcols = ["j"] if grid.d == 1 else [f"j{k}" for k in range(grid.d)]
     lines = [f"# field={name}", f"# kind={kind}",
              "# shape=" + ",".join(str(s) for s in arr.shape),
-             _grid_meta(grid), header]
+             _grid_meta(grid), ",".join(lead + jcols + ["value"])]
     for idx in np.ndindex(arr.shape):
-        if kind == "vector":
-            k, i, *j = idx
-            pos = [i, k] + list(j)
-        else:
-            i, *j = idx
-            pos = [i] + list(j)
+        pos = (idx[1], idx[0]) + idx[2:] if kind == "vector" else idx
         lines.append(",".join(str(p) for p in pos) + ",%.17g" % arr[idx])
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -239,43 +237,46 @@ def read_grid_csv(path: str) -> np.ndarray:
 
 # --------------------------------------------------------------- commands
 
-def cmd_solve(cfg: dict) -> int:
+def _solver_args(cfg: dict, n_ok, n_error: str) -> tuple[int, list[int], dict]:
+    """Check --case, then --n, then build AdmmConfig; returns the case, the
+    resolutions and the keywords that solve_instance and run_sweep share."""
     if cfg["case"] is None:
-        raise ConfigError("solve requires --case")
+        raise ConfigError(f"{cfg['command']} requires --case")
     ns = parse_resolutions(cfg["n"])
-    if len(ns) != 1:
-        raise ConfigError("solve takes a single resolution, use sweep for lists")
+    if not n_ok(len(ns)):
+        raise ConfigError(n_error)
     admm_cfg = AdmmConfig(r=float(cfg["admm_r"]), stop_tol=float(cfg["stop_tol"]),
                           max_iters=int(cfg["max_iters"]))
-    res = solve_instance(int(cfg["case"]), ns[0], w=cfg["param"],
-                         zeta=float(cfg["zeta"]), cost_spec=cfg["cost"],
-                         R=cfg["clamp_R"], admm_config=admm_cfg)
+    return int(cfg["case"]), ns, dict(w=cfg["param"], zeta=float(cfg["zeta"]),
+                                      cost_spec=cfg["cost"], R=cfg["clamp_R"],
+                                      admm_config=admm_cfg)
+
+
+def cmd_solve(cfg: dict) -> int:
+    case, ns, kwargs = _solver_args(
+        cfg, lambda k: k == 1, "solve takes a single resolution, use sweep for lists")
+    res = solve_instance(case, ns[0], **kwargs)
     rec = res.record
     grid = res.problem.grid
     out = cfg["out"]
-    write_grid_csv(os.path.join(out, "phi.csv"), res.phi, grid, "phi")
-    write_grid_csv(os.path.join(out, "lambda_rho.csv"), res.lam.lambda_rho,
-                   grid, "lambda_rho")
-    write_grid_csv(os.path.join(out, "lambda_m.csv"), res.lam.lambda_m,
-                   grid, "lambda_m")
-    write_grid_csv(os.path.join(out, "velocity.csv"), recover_velocity(res.lam),
-                   grid, "velocity")
-    w = cfg["param"] if cfg["param"] is not None else DEFAULT_W[int(cfg["case"])]
+    for name, field in (("phi", res.phi), ("lambda_rho", res.lam.lambda_rho),
+                        ("lambda_m", res.lam.lambda_m),
+                        ("velocity", recover_velocity(res.lam))):
+        write_grid_csv(os.path.join(out, f"{name}.csv"), field, grid, name)
+    w = cfg["param"] if cfg["param"] is not None else DEFAULT_W[case]
     summary = {
-        "case": int(cfg["case"]), "w": w,
+        "case": case, "w": w,
         "N": rec.N, "N_X": grid.N_X, "zeta": grid.zeta, "cost": cfg["cost"],
         "R": grid.R, "eps": grid.eps,
         "K_D": _jsonable(rec.K_D), "K_analytic": res.sol.cost,
         "duality_gap": _jsonable(rec.duality_gap),
         "iters": rec.iters, "converged": rec.converged,
         "stop_reason": res.state.stop_reason, "r_final": res.state.r_final,
-        "primal_res": res.state.primal_res[-1] if res.state.primal_res else None,
-        "dual_res": res.state.dual_res[-1] if res.state.dual_res else None,
+        "primal_res": res.state.primal_res[-1], "dual_res": res.state.dual_res[-1],
         "errors": {"eps_K": _jsonable(rec.eps_K), "eps_phi": _jsonable(rec.eps_phi),
                    "eps_v": _jsonable(rec.eps_v), "eps_rho": _jsonable(rec.eps_rho)},
     }
-    atomic_write_text(os.path.join(out, "summary.json"),
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(os.path.join(out, "summary.json"), _json_text(summary))
     print(f"K_D = {rec.K_D:.8g} (analytic {res.sol.cost:.8g}), "
           f"duality gap {rec.duality_gap:.3g}, {rec.iters} iterations")
     print(f"errors: eps_K={rec.eps_K:.3g} "
@@ -288,15 +289,9 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    if cfg["case"] is None:
-        raise ConfigError("sweep requires --case")
-    ns = parse_resolutions(cfg["n"])
-    if len(ns) < 2:
-        raise ConfigError("sweep needs at least 2 resolutions")
-    admm_cfg = AdmmConfig(r=float(cfg["admm_r"]), stop_tol=float(cfg["stop_tol"]),
-                          max_iters=int(cfg["max_iters"]))
-    report = run_sweep(int(cfg["case"]), ns, w=cfg["param"], zeta=float(cfg["zeta"]),
-                       cost_spec=cfg["cost"], R=cfg["clamp_R"], admm_config=admm_cfg)
+    case, ns, kwargs = _solver_args(cfg, lambda k: k >= 2,
+                                    "sweep needs at least 2 resolutions")
+    report = run_sweep(case, ns, **kwargs)
     out = cfg["out"]
     atomic_write_text(os.path.join(out, "report.json"), report_to_json(report))
     atomic_write_text(os.path.join(out, "records.csv"), records_to_csv(report))
@@ -325,8 +320,7 @@ def cmd_verify_scheme(cfg: dict) -> int:
                      cost, R=cfg["clamp_R"])
     if cfg["eps"] is not None:
         grid = dataclasses.replace(grid, eps=float(cfg["eps"]))
-        params = SchemeParams(grid, cost, default_monotone_radius(grid.R),
-                              validate=False)
+        params = SchemeParams(grid, cost)
     else:
         params = make_scheme(grid, cost)
 
@@ -355,8 +349,7 @@ def cmd_verify_scheme(cfg: dict) -> int:
                for name, ok, worst in checks}
     payload["eps"] = grid.eps
     payload["trials"] = trials
-    atomic_write_text(os.path.join(cfg["out"], "verify.json"),
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(os.path.join(cfg["out"], "verify.json"), _json_text(payload))
     return 0 if all(ok for _, ok, _ in checks) else 4
 
 
@@ -392,24 +385,38 @@ def cmd_hj_ivp(cfg: dict) -> int:
           + (f", fitted order {alpha:.3f}" if alpha is not None else ""))
     payload = {"rows": rows, "envelope_C": envelope, "decreasing": decreasing,
                "fitted_order": _jsonable(alpha) if alpha is not None else None}
-    atomic_write_text(os.path.join(cfg["out"], "ivp.json"),
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(os.path.join(cfg["out"], "ivp.json"), _json_text(payload))
     csv = ["N,h,sup_error"] + ["%d,%.17g,%.17g" % (r["N"], r["h"], r["sup_error"])
                                for r in rows]
     atomic_write_text(os.path.join(cfg["out"], "ivp.csv"), "\n".join(csv) + "\n")
     return 0
 
 
+# the keys every command has; solve and sweep add the test case and the
+# ADMM keys, which default to AdmmConfig's
+_COMMON = dict(zeta=1.0, cost="quadratic", clamp_R=None, out="out", seed=0)
+_ADMM = AdmmConfig()
+_SOLVER = dict(case=None, param=None, **_COMMON, admm_r=_ADMM.r,
+               stop_tol=_ADMM.stop_tol, max_iters=_ADMM.max_iters)
+# name -> (handler, help, defaults); the defaults name the command's config keys
+COMMANDS = {
+    "solve": (cmd_solve, "solve one instance", dict(_SOLVER, n="32")),
+    "sweep": (cmd_sweep, "resolution sweep with rate fits", dict(_SOLVER, n="16,32,64,128")),
+    "verify-scheme": (cmd_verify_scheme, "scheme property checks",
+                      dict(_COMMON, n="32", eps=None, trials=1000)),
+    "hj-ivp": (cmd_hj_ivp, "Hamilton-Jacobi IVP vs Hopf-Lax oracle",
+               dict(_COMMON, n="16,32,64,128")),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    handlers = {"solve": cmd_solve, "sweep": cmd_sweep,
-                "verify-scheme": cmd_verify_scheme, "hj-ivp": cmd_hj_ivp}
     try:
         cfg = resolve_config(ns)
-        text = json.dumps(cfg, indent=2, sort_keys=True) + "\n"
+        text = _json_text(cfg)
         sys.stdout.write("resolved config:\n" + text)
-        code = handlers[ns.command](cfg)
+        code = COMMANDS[ns.command][0](cfg)
         # written last: a command that raises (exit 3) leaves --out untouched
         atomic_write_text(os.path.join(cfg["out"], "config_resolved.json"), text)
         return code

@@ -28,38 +28,35 @@ from .measures import wrap
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Grid and cost bundle with the slope radius of guaranteed monotonicity.
+    """Grid and cost bundle of the scheme.
 
-    monotone_on is the radius R + delta (delta > 0) on which the viscosity
-    makes the scheme monotone; construction validates the admissibility
-    interval at that radius and fails loudly when it is empty. validate=False
-    skips that check, for deliberately running an inadmissible scheme.
+    Construction checks nothing, so building SchemeParams(grid, cost)
+    directly is the way to run an inadmissible scheme on purpose;
+    make_scheme checks the viscosity.
     """
 
     grid: GridSpec
     cost: CostModel
-    monotone_on: float
-    validate: bool = True
 
-    def __post_init__(self) -> None:
-        g = self.grid
-        if self.monotone_on < g.R:
-            raise ValueError("monotone radius must be at least the clamp level R")
-        if not self.validate:
-            return
-        lo, hi = viscosity_interval(self.cost, self.monotone_on, g.d, g.dt, g.dx)
-        ratio = g.eps / g.dx
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if not (lo - slack <= ratio <= hi + slack):
-            raise ValueError(
-                f"eps/dx = {ratio:g} outside the monotone interval "
-                f"[{lo:g}, {hi:g}] at slope radius {self.monotone_on:g}")
+    @property
+    def monotone_on(self) -> float:
+        """The slope radius R + delta, delta > 0, the scheme must be monotone on."""
+        return default_monotone_radius(self.grid.R)
 
 
 def make_scheme(grid: GridSpec, cost: CostModel) -> SchemeParams:
-    """SchemeParams on the radius default_monotone_radius(R), the radius
-    grid.make_grid chooses the viscosity for."""
-    return SchemeParams(grid=grid, cost=cost, monotone_on=default_monotone_radius(grid.R))
+    """SchemeParams whose viscosity makes the scheme monotone on monotone_on,
+    the radius grid.make_grid chooses the viscosity for; fails loudly when
+    eps/dx lies outside the admissibility interval at that radius."""
+    params = SchemeParams(grid, cost)
+    lo, hi = viscosity_interval(cost, params.monotone_on, grid.d, grid.dt, grid.dx)
+    ratio = grid.eps / grid.dx
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    if not (lo - slack <= ratio <= hi + slack):
+        raise ValueError(
+            f"eps/dx = {ratio:g} outside the monotone interval "
+            f"[{lo:g}, {hi:g}] at slope radius {params.monotone_on:g}")
+    return params
 
 
 def scheme_step(psi: np.ndarray, params: SchemeParams) -> np.ndarray:

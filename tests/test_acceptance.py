@@ -186,8 +186,7 @@ def test_c07_monotonicity_fails_without_viscosity(scheme32):
     params, quad = scheme32
     g = params.grid
     bare = GridSpec(d=g.d, D=g.D, N_T=g.N_T, N_X=g.N_X, eps=0.0, R=g.R)
-    loose = SchemeParams(grid=bare, cost=quad, monotone_on=params.monotone_on,
-                         validate=False)
+    loose = SchemeParams(grid=bare, cost=quad)
     report = check_monotone(loose, trials=1000, seed=0)
     assert report.monotone_violations > 0
 

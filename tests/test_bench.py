@@ -7,17 +7,15 @@ import pytest
 from hjot.bench import (
     ConvergenceReport,
     ErrorRecord,
-    atomic_write_text,
     error_cost,
     error_measure,
     error_potential_gradient,
     error_velocity,
     fit_rate,
-    records_to_csv,
-    report_to_json,
     resolve_nx,
     run_sweep,
 )
+from hjot.cli import atomic_write_text, records_to_csv, report_to_json
 from hjot.grid import make_grid
 from hjot.measures import build_test_case, project_measure
 from hjot.transport import PrimalVars

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import hjot
-from hjot.cli import main, parse_resolutions, read_grid_csv, write_grid_csv
+from hjot.cli import COMMANDS, main, parse_resolutions, read_grid_csv, write_grid_csv
 from hjot.grid import GridSpec
 
 SOLVE16 = ["solve", "--case", "2", "--n", "16"]
@@ -172,6 +173,33 @@ def test_config_file_rejections(tmp_path, capsys):
     not_obj = tmp_path / "arr.json"
     not_obj.write_text("[1,2]")
     assert main(["solve", "--config", str(not_obj)]) == 3
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_help_lists_config_and_one_flag_per_key(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+    keys = COMMANDS[command][2]
+    assert listed == {"--config"} | {"--" + k.replace("_", "-") for k in keys}
+
+
+# every key at its default, but for cheap resolutions and trial counts
+CHEAP = {"solve": {"case": 2, "n": "8"}, "sweep": {"case": 2, "n": "8,16"},
+         "verify-scheme": {"trials": 10}, "hj-ivp": {"n": "8,16"}}
+
+
+@pytest.mark.filterwarnings("ignore:fewer than 3 usable resolutions")
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_config_file_with_every_key_is_accepted(tmp_path, command):
+    out = tmp_path / "o"
+    file_cfg = dict(COMMANDS[command][2], **CHEAP[command], out=str(out))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(file_cfg))
+    assert main([command, "--config", str(cfg_path)]) == 0
+    resolved = json.loads((out / "config_resolved.json").read_text())
+    assert resolved == dict(file_cfg, command=command)
 
 
 @pytest.mark.parametrize("argv,message", [

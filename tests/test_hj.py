@@ -19,9 +19,10 @@ from hjot.measures import wrap
 
 @pytest.fixture
 def params4(quad):
-    # eps/dx = 0.25 = lip_H(0.5)/2, admissible exactly at radius 0.5
+    # eps/dx = 0.25 = lip_H(0.5)/2 gives hand-checkable values; make_scheme
+    # would reject it at the radius 1.05 R
     g = GridSpec(d=1, D=1.0, N_T=4, N_X=4, eps=0.0625, R=0.5)
-    return SchemeParams(grid=g, cost=quad, monotone_on=0.5)
+    return SchemeParams(grid=g, cost=quad)
 
 
 def test_scheme_step_hand_example(params4):
@@ -97,13 +98,11 @@ def test_slope_bound_preserved_over_horizon(quad):
 
 def test_scheme_params_validation(quad):
     g = make_grid(1, 1.0, 16, 16, quad)
-    with pytest.raises(ValueError):
-        SchemeParams(grid=g, cost=quad, monotone_on=0.9 * g.R)
     bad = GridSpec(d=1, D=g.D, N_T=g.N_T, N_X=g.N_X, eps=0.0, R=g.R)
-    with pytest.raises(ValueError):
-        SchemeParams(grid=bad, cost=quad, monotone_on=1.05 * g.R)
-    # validate=False admits the inadmissible pair on purpose
-    SchemeParams(grid=bad, cost=quad, monotone_on=1.05 * g.R, validate=False)
+    with pytest.raises(ValueError, match="outside the monotone interval"):
+        make_scheme(bad, quad)
+    # building SchemeParams directly admits the inadmissible grid on purpose
+    SchemeParams(grid=bad, cost=quad)
 
 
 def test_make_scheme_default_radius(quad):
@@ -155,7 +154,7 @@ def test_check_monotone_needs_a_trial(params4, trials):
 
 def test_monotonicity_fails_without_viscosity(quad):
     g0 = GridSpec(d=1, D=1.0, N_T=16, N_X=16, eps=0.0, R=0.5)
-    params = SchemeParams(grid=g0, cost=quad, monotone_on=0.525, validate=False)
+    params = SchemeParams(grid=g0, cost=quad)
     report = check_monotone(params, trials=300, seed=1)
     assert report.monotone_violations > 0
     assert report.max_monotone_violation > 1e-6
