@@ -16,6 +16,7 @@ The Hopf-Lax formula provides the continuous solution as an oracle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,32 +108,24 @@ def max_slope(psi: np.ndarray, grid: GridSpec) -> float:
     return worst
 
 
-def _golden_min(f, a: float, b: float, xtol: float) -> float:
-    """Golden-section minimum of f on [a, b]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return min(fc, fd)
+# the fractions of the bracket that each refinement round of hopf_lax
+# evaluates: 64 cells, of which the two around the argmin are kept
+_ROUND = np.linspace(0.0, 1.0, 65)
+_SHRINK = (len(_ROUND) - 1) / 2
 
 
 def hopf_lax(phi0, t: float, x: float, cost: CostModel, grid: GridSpec) -> float:
     """Viscosity solution phi(t, x) = inf_y phi0(y) + t L((x - y)/t).
 
-    phi0 is a callable on canonical torus coordinates. The infimum is
-    approximated by scanning displacements |x - y| <= lip_H(R) t + dx
-    (the maximal characteristic speed for slope-R data) on a grid 8 times
-    finer than dx, then polishing around the best candidate with a
-    golden-section search to 1e-10. Implemented for d = 1.
+    phi0 is a callable on arrays of canonical torus coordinates. The
+    infimum is approximated by scanning displacements |x - y| <= lip_H(R) t
+    + dx (the maximal characteristic speed for slope-R data) on a grid 8
+    times finer than dx. The two cells around the best candidate are then
+    refined in rounds: each evaluates 65 evenly spaced points across the
+    bracket and keeps the two cells around their argmin, so the bracket
+    shrinks 32-fold. The round count is fixed from the initial bracket so
+    that it ends at 1e-10 or below, whatever the float spacing of y. The
+    smallest value evaluated is returned. Implemented for d = 1.
     """
     if grid.d != 1:
         raise NotImplementedError("hopf_lax is implemented for d=1")
@@ -141,19 +134,23 @@ def hopf_lax(phi0, t: float, x: float, cost: CostModel, grid: GridSpec) -> float
     window = cost.lip_H(grid.R) * t + grid.dx
     fine = grid.dx / 8
     n = int(np.ceil(2.0 * window / fine)) + 1
-    y = x + np.linspace(-window, window, n)
 
     def value(yy):
-        yy = np.atleast_1d(np.asarray(yy, dtype=float))
-        disp = (x - yy)[None, :] / t
-        return phi0(wrap(yy, grid.D)) + t * cost.eval_L(disp)
+        return phi0(wrap(yy, grid.D)) + t * cost.eval_L((x - yy)[None, :] / t)
 
+    y = x + np.linspace(-window, window, n)
     vals = value(y)
     k = int(np.argmin(vals))
-    lo = y[max(k - 1, 0)]
-    hi = y[min(k + 1, n - 1)]
-    polished = _golden_min(lambda yy: float(value(yy)[0]), lo, hi, 1e-10)
-    return float(min(vals[k], polished))
+    best = vals[k]
+    lo, hi = y[max(k - 1, 0)], y[min(k + 1, n - 1)]
+    rounds = max(0, math.ceil(math.log((hi - lo) / 1e-10, _SHRINK)))
+    for _ in range(rounds):
+        y = lo + (hi - lo) * _ROUND
+        vals = value(y)
+        k = int(np.argmin(vals))
+        best = min(best, vals[k])
+        lo, hi = y[max(k - 1, 0)], y[min(k + 1, len(y) - 1)]
+    return float(best)
 
 
 def random_cr_field(grid: GridSpec, radius: float, rng: np.random.Generator) -> np.ndarray:

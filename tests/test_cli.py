@@ -202,6 +202,28 @@ def test_config_file_with_every_key_is_accepted(tmp_path, command):
     assert resolved == dict(file_cfg, command=command)
 
 
+def test_seed_is_rejected_outside_verify_scheme(tmp_path, capsys):
+    # only verify-scheme draws random numbers; elsewhere --seed is an
+    # unknown flag, which exits 3 like any invalid configuration
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--case", "2", "--n", "8", "--seed", "5", "--out", str(out)])
+    assert exc.value.code == 3
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:fewer than 3 usable resolutions")
+@pytest.mark.parametrize("command", ["solve", "sweep", "hj-ivp"])
+def test_config_resolved_has_no_seed(tmp_path, command):
+    out = tmp_path / "o"
+    argv = [command, "--out", str(out)]
+    for key, value in CHEAP[command].items():
+        argv += ["--" + key, str(value)]
+    assert main(argv) == 0
+    assert "seed" not in json.loads((out / "config_resolved.json").read_text())
+
+
 @pytest.mark.parametrize("argv,message", [
     (["solve", "--case", "9"], "unknown test case"),
     (SOLVE16 + ["--zeta", "0.3"], "non-integral"),

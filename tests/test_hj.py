@@ -210,6 +210,36 @@ def test_hopf_lax_matches_brute_force(quad):
         assert hopf_lax(phi0, t, x, quad, g) == pytest.approx(brute, abs=1e-6)
 
 
+def test_hopf_lax_matches_closed_form_to_rounding(quad):
+    # phi0 = x^2/2 gives phi(t, x) = x^2 / (2 (1 + t)) while the minimizer
+    # x / (1 + t) stays inside the window and away from the seam
+    g = make_grid(1, 1.0, 64, 64, quad)
+    phi0 = lambda y: wrap(np.asarray(y)) ** 2 / 2
+    for t in (1 / 64, 0.1, 0.37, 0.5, 1.0):
+        for x in np.linspace(-0.45, 0.45, 31):
+            exact = x ** 2 / (2 * (1 + t))
+            assert abs(hopf_lax(phi0, t, float(x), quad, g) - exact) <= 1e-14
+
+
+def test_hopf_lax_ends_where_float_spacing_exceeds_its_tolerance(quad):
+    # at |x| = 3e6 neighbouring doubles lie 4.7e-10 apart, farther than the
+    # 1e-10 bracket width the search aims for; it must still stop after a
+    # number of evaluations fixed by its initial bracket
+    g = make_grid(1, 1e7, 64, 64, quad)
+    a, t, x = 0.3, 0.5, 3e6
+    calls = []
+
+    def phi0(y):
+        calls.append(1)
+        if len(calls) > 100:
+            raise AssertionError("hopf_lax keeps evaluating phi0")
+        return a * np.asarray(y)
+
+    value = hopf_lax(phi0, t, x, quad, g)
+    assert len(calls) <= 20
+    assert value == pytest.approx(a * x - t * a ** 2 / 2, abs=1e-6)
+
+
 def test_hopf_lax_d2_unsupported(quad):
     g = make_grid(2, 1.0, 16, 4, quad, R=0.5)
     with pytest.raises(NotImplementedError):

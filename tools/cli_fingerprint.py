@@ -7,17 +7,20 @@ Usage (no flags; hjot is imported from PYTHONPATH):
 The first line is the path of the imported hjot package. The runs below
 execute through hjot.cli.main in one fresh temporary directory, each with
 its own relative --out name, so no absolute path reaches stdout or an
-artifact. For each run it prints the exit code and the SHA-256 of stdout;
-then, sorted by file name, the SHA-256 of every artifact file the runs
-wrote. The wall_time column of records.csv and the wall_time values of
+artifact. For each run it prints the exit code and the SHA-256 of stdout,
+and for the hj-ivp run also the sup_error of each resolution (repr); then,
+sorted by file name, the SHA-256 of every artifact file the runs wrote.
+The wall_time column of records.csv and the wall_time values of
 report.json are masked before hashing, as the only outputs that change
 from run to run. Stderr is not hashed: warnings carry file paths. Two trees
 that print the same lines after the first give the same exit codes, print
-the same stdout and write byte-identical artifacts.
+the same stdout and write byte-identical artifacts; two trees whose oracle
+differs in rounding are compared by the sup_error values.
 """
 import contextlib
 import hashlib
 import io
+import json
 import os
 import re
 import tempfile
@@ -69,6 +72,10 @@ def main() -> None:
                     code = cli_main(argv)
                 print(f"{' '.join(argv)}: exit={code} "
                       f"stdout={sha(stdout.getvalue().encode())}")
+                if argv[0] == "hj-ivp":
+                    with open(os.path.join(f"run{k}", "ivp.json")) as f:
+                        for row in json.load(f)["rows"]:
+                            print(f"  N={row['N']} sup_error={row['sup_error']!r}")
             paths = sorted(os.path.join(d, f) for d, _, files in os.walk(".")
                            for f in files)
             for path in paths:
