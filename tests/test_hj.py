@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hjot.grid import GridSpec, forward_diff, make_grid
 from hjot.hj import (
+    MonotoneReport,
     SchemeParams,
     check_monotone,
     consistency_residual,
@@ -158,6 +161,83 @@ def test_monotonicity_fails_without_viscosity(quad):
     report = check_monotone(params, trials=300, seed=1)
     assert report.monotone_violations > 0
     assert report.max_monotone_violation > 1e-6
+
+
+def _sequential_report(params, trials, seed):
+    # check_monotone's trials one at a time, as it ran them before batching
+    rng = np.random.default_rng(seed)
+    mono_bad, mono_worst, nonexp_bad, nonexp_worst = 0, 0.0, 0, 0.0
+    for _ in range(trials):
+        lo, hi = random_cr_pair(params.grid, params.monotone_on, rng)
+        s_lo = scheme_step(lo, params)
+        s_hi = scheme_step(hi, params)
+        gap = float(np.max(s_lo - s_hi))
+        if gap > 1e-12:
+            mono_bad += 1
+            mono_worst = max(mono_worst, gap)
+        excess = float(np.max(np.abs(s_lo - s_hi)) - np.max(np.abs(lo - hi)))
+        if excess > 1e-12:
+            nonexp_bad += 1
+            nonexp_worst = max(nonexp_worst, excess)
+    return MonotoneReport(trials, mono_bad, mono_worst, nonexp_bad, nonexp_worst)
+
+
+@pytest.mark.parametrize("d, n_t, n_x, admissible, trials, seed", [
+    (1, 128, 128, True, 777, 0),  # several batches, the last one partial
+    (1, 32, 32, False, 1000, 0),  # violations counted and their worst values
+    (2, 32, 16, True, 300, 1),
+    (2, 32, 16, False, 300, 1),
+    (1, 128, 128, True, 1, 5),
+], ids=["d1-n128-777", "d1-n32-eps0", "d2-n16", "d2-n16-eps0", "one-trial"])
+def test_check_monotone_equals_sequential_trials(quad, d, n_t, n_x, admissible, trials, seed):
+    g = make_grid(d, 1.0, n_t, n_x, quad)
+    if admissible:
+        params = make_scheme(g, quad)
+    else:
+        params = SchemeParams(GridSpec(d=d, D=1.0, N_T=n_t, N_X=n_x, eps=0.0, R=g.R), quad)
+    report = check_monotone(params, trials=trials, seed=seed)
+    assert report == _sequential_report(params, trials, seed)
+    assert report.ok == admissible
+
+
+@pytest.mark.parametrize("n, trials", [(128, 2000), (256, 500)])
+def test_check_monotone_memory_stays_small(quad, n, trials):
+    # the trial batches bound the temporaries; a table of cells x cells
+    # entries, or of anchors x cells per field of a batch, exceeds this
+    params = make_scheme(make_grid(1, 1.0, n, n, quad), quad)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        check_monotone(params, trials=trials, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def _mcshane_reference(grid, radius, rng):
+    # random_cr_field's formula as first written, one (anchors, cells) array
+    n_anchors = max(3, grid.N_X // 4)
+    anchors = rng.integers(0, grid.N_X, size=(n_anchors, grid.d))
+    values = rng.uniform(-radius * grid.D, radius * grid.D, size=n_anchors)
+    idx = np.indices(grid.space_shape)
+    dist = np.zeros((n_anchors,) + grid.space_shape)
+    for k in range(grid.d):
+        delta = np.abs(idx[k][None] - anchors[:, k].reshape((-1,) + (1,) * grid.d))
+        dist += np.minimum(delta, grid.N_X - delta)
+    return np.min(values.reshape((-1,) + (1,) * grid.d) + radius * grid.dx * dist, axis=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d, n_t, n_x", [(1, 128, 128), (2, 32, 16)])
+def test_random_cr_field_bitwise_unchanged(quad, d, n_t, n_x, seed):
+    g = make_grid(d, 1.0, n_t, n_x, quad)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):  # the second draw checks that the rng stream is in step
+        psi = random_cr_field(g, g.R, rng)
+        ref = _mcshane_reference(g, g.R, ref_rng)
+        assert psi.shape == ref.shape
+        assert psi.tobytes() == ref.tobytes()
 
 
 def test_hopf_lax_at_time_zero(quad):

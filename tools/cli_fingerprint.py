@@ -1,4 +1,4 @@
-"""Print a fingerprint of seven CLI runs: exit codes, stdout and artifacts, by hash.
+"""Print a fingerprint of nine CLI runs: exit codes, stdout and artifacts, by hash.
 
 Usage (no flags; hjot is imported from PYTHONPATH):
 
@@ -34,6 +34,9 @@ RUNS = (
     ["sweep", "--case", "2", "--n", "8,16"],
     ["verify-scheme", "--n", "16", "--trials", "100"],
     ["verify-scheme", "--n", "16", "--trials", "100", "--eps", "0"],
+    # trials that span several of check_monotone's batches
+    ["verify-scheme", "--n", "128", "--trials", "1000"],
+    ["verify-scheme", "--n", "64", "--trials", "1000", "--eps", "0"],
     ["hj-ivp", "--n", "16,32"],
     ["solve", "--case", "9"],
 )
