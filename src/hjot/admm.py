@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
+from .grid import viscosity_interval
 from .transport import PrimalVars, SigmaVars, TransportProblem, objective_FD
 
 # residual balancing (Boyd et al. 2011, sec. 3.4.1): r doubles or halves when
@@ -247,6 +248,10 @@ def solve(problem: TransportProblem,
     if config is None:
         config = AdmmConfig()
     g = problem.grid
+    _, hi = viscosity_interval(problem.cost, g.R, g.d, g.dt, g.dx)
+    if g.eps / g.dx > hi + 1e-12 * max(1.0, hi):  # pttrf can fail there
+        raise ValueError(f"eps/dx = {g.eps / g.dx:g} above dx/(2 d dt) = {hi:g}, "
+                         "where the scheme is not monotone")
     A = problem.operator
     r = config.r
 

@@ -333,7 +333,8 @@ def cmd_verify_scheme(cfg: dict) -> int:
     for _ in range(5):
         traj = solve_ivp(random_cr_field(grid, grid.R, rng), params)
         for sl in traj:
-            preserve_excess = max(preserve_excess, max_slope(sl, grid) - grid.R)
+            # np.maximum, unlike max, keeps a NaN slope
+            preserve_excess = float(np.maximum(preserve_excess, max_slope(sl, grid) - grid.R))
 
     checks = [
         ("consistency_affine", cons <= 1e-14, cons),

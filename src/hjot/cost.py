@@ -16,6 +16,8 @@ import numpy as np
 # residual |g| at which project_onto_K's Newton steps stop, and their cap
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
+# after a first step the stop also accepts |g| of a few roundings of its terms
+_ROUNDING = 4 * np.finfo(float).eps
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -77,11 +79,13 @@ class QuadraticCost(CostModel):
             g(lambda) = (a - lambda) + |b|^2 / (2 (1+lambda)^2) = 0
 
         with a unique root lambda >= 0; the projection is
-        (s, w) = (a - lambda, b / (1+lambda)). g is convex and decreasing
-        on lambda > -1, so Newton from lambda = 0 increases monotonically
-        to the root without overshooting. A bisection fallback on the
-        bracket [0, a + H(b)] (geometrically widened) guards pathological
-        cases.
+        (s, w) = (a - lambda, b / (1+lambda)). Newton starts at the root in
+        closed form (_cubic_start), or at lambda = 0 where that is undefined;
+        g is convex and decreasing on lambda > -1. It stops at |g| <=
+        NEWTON_TOL; after the first step, also at |g| <= _ROUNDING (|a -
+        lambda| + |b|^2 / (2 (1+lambda)^2)), since g's rounding error grows
+        with its terms. Cells unconverged after NEWTON_MAX_ITER steps are
+        bisected on the bracket [0, a + H(b)] (geometrically widened).
 
         The Newton steps run on whole arrays, with no boolean indexing:
         feasible cells are padded with a = 0, |b|^2 = 0, so they converge
@@ -116,17 +120,24 @@ class QuadraticCost(CostModel):
         np.copyto(a_pad, a)
         for arr in (a_pad, b2, half_b2):
             np.copyto(arr, 0.0, where=converged)
-        lam.fill(0.0)
+        _cubic_start(a_pad, half_b2, lam, opl, opl2, tmp, g, active)
+        np.copyto(lam, 0.0, where=converged)  # exactly 0, however cbrt rounds
+        tol = NEWTON_TOL
         for _ in range(NEWTON_MAX_ITER):
             np.add(1.0, lam, out=opl)
             np.square(opl, out=opl2)
             np.divide(half_b2, opl2, out=g)
             np.subtract(a_pad, lam, out=tmp)
+            if tol is not NEWTON_TOL:
+                np.add(np.absolute(tmp, out=tol), g, out=tol)
+                np.maximum(np.multiply(tol, _ROUNDING, out=tol), NEWTON_TOL, out=tol)
             g += tmp
             np.absolute(g, out=tmp)
-            np.less_equal(tmp, NEWTON_TOL, out=converged)
+            np.less_equal(tmp, tol, out=converged)
             if converged.all():
                 break
+            if tol is NEWTON_TOL:
+                tol = np.empty_like(tmp)
             # (1 + lambda)^3 as a product with the kept square, cheaper than pow
             np.multiply(opl2, opl, out=tmp)
             np.divide(b2, tmp, out=tmp)
@@ -172,6 +183,34 @@ class QuadraticCost(CostModel):
             self._newton = (tuple(np.empty(shape) for _ in range(8))
                             + tuple(np.empty(shape, dtype=bool) for _ in range(3)))
         return self._newton
+
+
+def _cubic_start(a, half_b2, lam, u, u2, t, x, bad):
+    """Cardano's root lambda >= 0 of g = (a - lambda) + B/(1+lambda)^2, B = half_b2,
+    into lam: mu = 1 + lambda solves mu^3 - 3u mu^2 = B, u = (1+a)/3, and where
+    u^3 + B/4 >= 0 is mu = u + s + u^2/s, s^3 = u^3 + B/2 + sqrt(B) sqrt(u^3 + B/4);
+    elsewhere lam is 0. u, u2, t, x, bad are scratch; no warning is emitted."""
+    with np.errstate(all="ignore"):
+        np.add(1.0, a, out=u)
+        u /= 3.0
+        np.square(u, out=u2)
+        np.multiply(u2, u, out=t)
+        np.multiply(0.25, half_b2, out=x)
+        x += t
+        np.sqrt(x, out=x)  # NaN where the discriminant is negative
+        np.sqrt(half_b2, out=lam)
+        x *= lam
+        np.multiply(0.5, half_b2, out=lam)
+        t += lam
+        t += x
+        np.cbrt(t, out=t)
+        np.divide(u2, t, out=x)
+        np.add(u, t, out=lam)
+        lam += x
+        lam -= 1.0
+        np.fmax(lam, 0.0, out=lam)  # also turns NaN into 0
+        # Newton's (1+lambda)^3 overflows above 5.6e102; start there from 0
+        np.copyto(lam, 0.0, where=np.greater(lam, 1e100, out=bad))
 
 
 class PowerCost(CostModel):

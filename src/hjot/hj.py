@@ -101,11 +101,11 @@ def consistency_residual(params: SchemeParams, slope) -> float:
 
 
 def max_slope(psi: np.ndarray, grid: GridSpec) -> float:
-    """Largest one-sided difference quotient magnitude over all axes."""
-    worst = 0.0
-    for k in range(grid.d):
-        worst = max(worst, float(np.max(np.abs(forward_diff(psi, grid, k)))) / grid.dx)
-    return worst
+    """Largest one-sided difference quotient magnitude over all axes, or NaN."""
+    worst = np.max(np.abs(forward_diff(psi, grid, 0)))
+    for k in range(1, grid.d):
+        worst = np.maximum(worst, np.max(np.abs(forward_diff(psi, grid, k))))
+    return float(worst) / grid.dx
 
 
 # the fractions of the bracket that each refinement round of hopf_lax

@@ -141,6 +141,24 @@ def test_solve_stays_within_the_numerical_gate(case_id, n, case2_n16):
     assert abs(out.record.K_D - k_d) <= 1e-10 * abs(k_d)
 
 
+def test_solve_rejects_viscosity_above_the_monotone_bound(quad):
+    # eps/dx = 9.6 against dx/(2 d dt) = 1/6: pttrf used to fail on this grid
+    g = GridSpec(d=1, D=1.0, N_T=64, N_X=192, eps=0.05, R=0.5)
+    pi = DiscreteMeasure(np.full(g.space_shape, 1.0 / g.N_X))
+    problem = assemble_problem(g, quad, pi, pi)
+    with pytest.raises(ValueError, match=r"eps/dx = 9\.6 above dx/\(2 d dt\) = 0\.166667"):
+        solve(problem, AdmmConfig(max_iters=1))
+
+
+@pytest.mark.parametrize("d, n_t, n_x", [(1, 4, 4), (1, 16, 16), (1, 128, 192), (2, 8, 4)])
+def test_solve_accepts_make_grid_grids_and_zero_viscosity(quad, d, n_t, n_x):
+    for g in (make_grid(d, 1.0, n_t, n_x, quad),
+              GridSpec(d=d, D=1.0, N_T=n_t, N_X=n_x, eps=0.0, R=0.5)):
+        pi = DiscreteMeasure(np.full(g.space_shape, 1.0 / g.N_X ** d))
+        _, _, state = solve(assemble_problem(g, quad, pi, pi), AdmmConfig(max_iters=1))
+        assert state.iters == 1
+
+
 def test_sigma_update_keeps_feasible_points(quad):
     problem = case_problem(2, 16, quad)
     g = problem.grid

@@ -285,6 +285,16 @@ def test_verify_scheme_fails_without_viscosity(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_scheme_fails_on_non_finite_trajectories(tmp_path):
+    # without viscosity the N = 64 trajectories blow up to inf, then NaN
+    out = tmp_path / "v64"
+    code = main(["verify-scheme", "--n", "64", "--trials", "100",
+                 "--eps", "0", "--out", str(out)])
+    assert code == 4
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["cr_preservation"] == {"pass": False, "worst": "nan"}
+
+
 def test_hj_ivp_errors_decrease(tmp_path, capsys):
     out = tmp_path / "ivp"
     code = main(["hj-ivp", "--n", "16,32", "--out", str(out)])

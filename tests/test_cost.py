@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hjot.cost import NEWTON_TOL, PowerCost, QuadraticCost, make_cost
+import hjot.cost
+from hjot.cost import NEWTON_TOL, PowerCost, QuadraticCost, _cubic_start, make_cost
 from hjot.grid import make_grid
 from hjot.transport import PrimalVars, primal_objective
 
@@ -23,8 +26,8 @@ def project_oracle(a: float, b: np.ndarray, tol: float = 1e-14):
     lo, hi = 0.0, a + 0.5 * b2
     while g(hi) > 0:
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    # halve until the bracket holds two adjacent floats, however wide it was
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if g(mid) > 0:
             lo = mid
         else:
@@ -86,15 +89,19 @@ def test_project_vectorized_matches_scalar(quad):
             assert abs(w[0, i, j] - w_ref[0]) <= 1e-10
 
 
+# |b| up to 1e6, a down to -1e6, points on and just outside the boundary
+# a = -|b|^2/2
+EXTREME_POINTS = [(a, sign * b)
+                  for b in (0.0, 1e-6, 1e-3, 1.0, 1e3, 1e6)
+                  for a in (-1e6, -1e3, -1.0, 0.0, 1.0, 1e3, 1e6)
+                  for sign in (1.0, -1.0)]
+EXTREME_POINTS += [(-0.5 * b * b + shift, b)
+                   for b in (0.0, 1e-3, 1.0, 1e3, 1414.0) for shift in (0.0, 1e-9, 1e-3)]
+
+
 def test_project_extreme_inputs_match_bisection(quad):
-    # |b| up to 1e6, a down to -1e6, points on and just outside the boundary
-    # a = -|b|^2/2, all in one call so that feasible cells pad the Newton steps
-    pts = [(a, sign * b)
-           for b in (0.0, 1e-6, 1e-3, 1.0, 1e3, 1e6)
-           for a in (-1e6, -1e3, -1.0, 0.0, 1.0, 1e3, 1e6)
-           for sign in (1.0, -1.0)]
-    pts += [(-0.5 * b * b + shift, b)
-            for b in (0.0, 1e-3, 1.0, 1e3, 1414.0) for shift in (0.0, 1e-9, 1e-3)]
+    # all in one call so that feasible cells pad the Newton steps
+    pts = EXTREME_POINTS
     a = np.array([p[0] for p in pts])
     b = np.array([[p[1] for p in pts]])
     s, w = quad.project_onto_K(a, b)
@@ -110,6 +117,75 @@ def test_project_extreme_inputs_match_bisection(quad):
         s_ref, w_ref = project_oracle(a_big, np.array([bi]))
         assert abs(float(s) - s_ref) <= NEWTON_TOL * max(1.0, abs(a_big)), bi
         assert abs(float(w[0]) - w_ref[0]) <= NEWTON_TOL * max(1.0, abs(a_big)), bi
+
+
+def test_cubic_start_alone_meets_newton_tol():
+    # wider than the projection inputs of the benchmark solves
+    a, half_b2 = (x.ravel() for x in np.meshgrid(np.linspace(-0.2, 5.0, 105),
+                                                 np.linspace(0.0, 3.0, 61)))
+    keep = a + half_b2 > 0
+    a, half_b2 = a[keep], half_b2[keep]
+    lam = np.empty_like(a)
+    scratch = [np.empty_like(a) for _ in range(4)] + [np.empty(a.shape, dtype=bool)]
+    _cubic_start(a, half_b2, lam, *scratch)
+    g = (a - lam) + half_b2 / (1.0 + lam) ** 2
+    assert np.all(lam >= 0)
+    assert np.max(np.abs(g)) <= NEWTON_TOL
+    # undefined starts are 0: a negative discriminant, an overflowing cube
+    a, half_b2 = np.array([-6.0, -1e120, 1e200]), np.array([250.0 / 27.0, 5e121, 0.0])
+    _cubic_start(a, half_b2, lam[:3], *(x[:3] for x in scratch))
+    assert np.array_equal(lam[:3], np.zeros(3))
+
+
+def test_project_warns_nowhere_and_matches_bisection(quad):
+    # the discriminant 4 (1+a)^3 + 27 |b|^2/2 is negative at the first point,
+    # and (1+a)^3 overflows at the second; both start Newton from 0
+    pts = [(-6.0, 4.303314829119352), (-1e120, 1e61)] + EXTREME_POINTS
+    a = np.array([p[0] for p in pts])
+    b = np.array([[p[1] for p in pts]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, w = quad.project_onto_K(a, b)
+        single = [quad.project_onto_K(np.array(ai), np.array([bi])) for ai, bi in pts]
+        # Newton's (1+lambda)^3 would overflow one ulp off this root; from 0
+        # one step lands on lambda = a exactly, where it is never formed
+        big = quad.project_onto_K(np.array(7e102), np.array([0.0]))
+    assert float(big[0]) == 0.0 and float(big[1][0]) == 0.0
+    for i, (ai, bi) in enumerate(pts):
+        s_ref, w_ref = project_oracle(ai, np.array([bi]))
+        for got_s, got_w in ((s[i], w[0, i]), (float(single[i][0]), float(single[i][1][0]))):
+            assert abs(got_s - s_ref) <= NEWTON_TOL * max(1.0, abs(s_ref)), (ai, bi)
+            assert abs(got_w - w_ref[0]) <= NEWTON_TOL * max(1.0, abs(w_ref[0])), (ai, bi)
+
+
+def test_project_mixed_arrays_keep_feasible_cells_bitwise(quad):
+    rng = np.random.default_rng(21)
+    a = rng.uniform(-3.0, 5.0, size=(7, 40))
+    b = rng.uniform(-3.0, 3.0, size=(2, 7, 40))
+    feasible = a + 0.5 * np.sum(b * b, axis=0) <= 0
+    assert 0 < feasible.sum() < feasible.size
+    s, w = quad.project_onto_K(a, b)
+    assert np.array_equal(s[feasible], a[feasible])
+    assert np.array_equal(w[:, feasible], b[:, feasible])
+    lam = a - s  # the multiplier, which is >= 0
+    assert np.all(lam >= 0)
+    assert np.allclose(w * (1.0 + lam), b, rtol=1e-14, atol=0)
+
+
+def test_newton_stop_scales_with_the_terms_of_g(quad, monkeypatch):
+    # a + |b|^2/2 = 0.5 with terms of size 5e11: |g| <= NEWTON_TOL is out of
+    # reach there, so the absolute stop alone ran all NEWTON_MAX_ITER steps
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-0.2, 5.0, size=500)
+    b = rng.uniform(-2.0, 2.0, size=(1, 500))
+    a[123], b[0, 123] = -0.5e12 * (1.0 - 1e-12), 1e6
+    monkeypatch.setattr(hjot.cost, "NEWTON_MAX_ITER", 5)
+    s, w = quad.project_onto_K(a, b)
+    converged = quad._newton[-2]  # the Newton loop's mask, all True if it ended there
+    assert converged.all()
+    s_ref, w_ref = project_oracle(a[123], b[:, 123])
+    assert abs(s[123] - s_ref) <= NEWTON_TOL * abs(a[123])
+    assert abs(w[0, 123] - w_ref[0]) <= NEWTON_TOL * abs(w_ref[0])
 
 
 @settings(max_examples=200, deadline=None)

@@ -72,6 +72,25 @@ def test_max_slope(params4):
     assert max_slope(psi, params4.grid) == pytest.approx(0.4)
 
 
+def test_max_slope_keeps_nan(quad):
+    g1 = make_grid(1, 1.0, 16, 16, quad)
+    g2 = make_grid(2, 1.0, 16, 4, quad, R=0.5)
+    rng = np.random.default_rng(9)
+    for g in (g1, g2):
+        psi = rng.uniform(-0.1, 0.1, size=g.space_shape)
+        # the fold over axes that max_slope replaced, for finite fields
+        folded = 0.0
+        for k in range(g.d):
+            folded = max(folded, float(np.max(np.abs(forward_diff(psi, g, k)))) / g.dx)
+        assert max_slope(psi, g) == folded
+        assert np.isnan(max_slope(np.full(g.space_shape, np.nan), g))
+    # inf - inf = NaN along the second axis only; the first one sees inf
+    psi = np.zeros(g2.space_shape)
+    psi[1, :2] = np.inf
+    assert np.max(np.abs(forward_diff(psi, g2, 0))) == np.inf
+    assert np.isnan(max_slope(psi, g2))
+
+
 def test_solve_ivp_is_iterated_step(params4):
     phi0 = np.array([0.0, 0.1, 0.0, -0.1])
     out = solve_ivp(phi0, params4)

@@ -1,12 +1,14 @@
-"""Print a fingerprint of the four seed-0 benchmark solves, by value and by hash.
+"""Print a fingerprint of the solves of the numerical gate, by value and by hash.
 
 Usage (no flags; hjot is imported from PYTHONPATH):
 
     PYTHONPATH=src python tools/solve_fingerprint.py
 
 The first line is the path of the imported hjot package. Then, for each of
-case 2 and case 3 at N = 64 and case 1 at N = 128 and N = 192 (README
-defaults, solved as hjot.bench.solve_instance solves them), it prints the
+the four seed-0 benchmark solves (case 2 and case 3 at N = 64, case 1 at
+N = 128 and N = 192) and the other instances of the gate in README,
+Determinism (cases 1-3 at N = 32, case 1 at N = 64), all with README
+defaults and solved as hjot.bench.solve_instance solves them, it prints the
 iteration count, the final penalty r, the stop reason, K_D and the final
 dual objective F_D (both repr), and the SHA-256 of the raw bytes of phi, of
 the three Lambda arrays, of the three Sigma arrays and of the two residual
@@ -21,7 +23,7 @@ import numpy as np
 import hjot
 from hjot.bench import solve_instance
 
-INSTANCES = ((2, 64), (3, 64), (1, 128), (1, 192))
+INSTANCES = ((2, 64), (3, 64), (1, 128), (1, 192), (1, 32), (2, 32), (3, 32), (1, 64))
 
 
 def sha(array) -> str:
