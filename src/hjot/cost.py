@@ -84,8 +84,11 @@ class QuadraticCost(CostModel):
         g is convex and decreasing on lambda > -1. It stops at |g| <=
         NEWTON_TOL; after the first step, also at |g| <= _ROUNDING (|a -
         lambda| + |b|^2 / (2 (1+lambda)^2)), since g's rounding error grows
-        with its terms. Cells unconverged after NEWTON_MAX_ITER steps are
-        bisected on the bracket [0, a + H(b)] (geometrically widened).
+        with its terms; and where a step no longer changes lambda, which then
+        ends at the midpoint of lambda and its neighbour float across the
+        root, as the bisection would. Cells unconverged after NEWTON_MAX_ITER
+        steps are bisected on the bracket [0, a + H(b)] (geometrically
+        widened) down to two adjacent floats.
 
         The Newton steps run on whole arrays, with no boolean indexing:
         feasible cells are padded with a = 0, |b|^2 = 0, so they converge
@@ -123,6 +126,7 @@ class QuadraticCost(CostModel):
         _cubic_start(a_pad, half_b2, lam, opl, opl2, tmp, g, active)
         np.copyto(lam, 0.0, where=converged)  # exactly 0, however cbrt rounds
         tol = NEWTON_TOL
+        stalled = False
         for _ in range(NEWTON_MAX_ITER):
             np.add(1.0, lam, out=opl)
             np.square(opl, out=opl2)
@@ -135,6 +139,7 @@ class QuadraticCost(CostModel):
             np.absolute(g, out=tmp)
             np.less_equal(tmp, tol, out=converged)
             if converged.all():
+                stalled = False  # a stalled cell can meet the relative stop later
                 break
             if tol is NEWTON_TOL:
                 tol = np.empty_like(tmp)
@@ -143,8 +148,25 @@ class QuadraticCost(CostModel):
             np.divide(b2, tmp, out=tmp)
             np.subtract(-1.0, tmp, out=tmp)
             np.divide(g, tmp, out=tmp)
+            np.subtract(lam, tmp, out=opl)
+            # a step that no longer changes lambda cannot get closer to the
+            # root; such a cell stalls, and is finished after the loop
             np.logical_not(converged, out=active)
-            np.subtract(lam, tmp, out=lam, where=active)
+            np.equal(opl, lam, out=infeas)
+            infeas &= active
+            stalled = infeas.any()
+            if stalled:
+                converged |= infeas
+                if converged.all():
+                    break
+                np.logical_not(converged, out=active)
+            np.copyto(lam, opl, where=active)
+        if stalled:
+            # a stalled cell's root lies between lambda and its neighbour on
+            # the side of g's sign; end as the bisection ends on such a pair
+            # of adjacent floats, at their midpoint
+            li = lam[infeas]
+            lam[infeas] = 0.5 * (li + np.nextafter(li, np.copysign(np.inf, g[infeas])))
         if not converged.all():
             # Newton stalled somewhere; bisect the survivors
             bad = ~converged
@@ -159,8 +181,12 @@ class QuadraticCost(CostModel):
                 hi *= 2.0
             else:
                 raise RuntimeError("projection onto K failed to bracket the root")
-            for _ in range(200):
+            # halve until each bracket holds two adjacent floats, however wide
+            # it was; 2200 halvings reach that from any finite bracket
+            for _ in range(2200):
                 mid = 0.5 * (lo + hi)
+                if np.all((mid == lo) | (mid == hi)):
+                    break
                 pos = gb(mid) > 0
                 lo = np.where(pos, mid, lo)
                 hi = np.where(pos, hi, mid)

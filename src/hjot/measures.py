@@ -1,31 +1,24 @@
 """Analytic probability measures on the torus and their grid projections.
 
-Measures live on Omega = R^d/(D Z^d), described either by a density in
-canonical coordinates [-D/2, D/2) or by a finite list of atoms. The grid
+Measures live on Omega = R^d/(D Z^d), described either by their cumulative
+mass on lifted coordinates or by a finite list of atoms. The grid
 projection assigns to node j the mass of the half-open box of edge dx
 centered at j*dx (left-closed, right-open along every axis).
 
 The module also hosts the three benchmark transport problems between
 closed-form measure pairs, together with their exact optimizers
-(interpolating density rho, velocity v, potential phi where available)
-and transport costs.
+(cumulative mass of the interpolating measure, velocity v, potential phi
+where available) and transport costs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .grid import GridSpec
 
-
-class QuadratureError(RuntimeError):
-    """Raised when the per-box quadrature check exceeds QUAD_TOL."""
-
-
-# largest disagreement between the 20- and 40-node rules on one box piece
-QUAD_TOL = 1e-10
 # residual |T_t(y) - x| at which invert_transport_map accepts y
 INVERSION_TOL = 1e-13
 
@@ -37,20 +30,19 @@ def wrap(x, D: float = 1.0):
 
 @dataclass(frozen=True)
 class AnalyticMeasure:
-    """A probability measure given by a density or by atoms.
+    """A probability measure given by its cumulative mass or by atoms.
 
     :param descriptor: short tag (uniform, cosine, triangle, ...)
-    :param density: vectorized density in canonical coordinates, or None
+    :param cdf: vectorized cumulative mass F on lifted coordinates, or None:
+        F is nondecreasing on R and F(x + D) = F(x) + mass, so the mass of
+        [x0, x1) with x0 <= x1 <= x0 + D is F(x1) - F(x0)
     :param atoms: list of (location, mass), or None
-    :param breakpoints: canonical locations where the density is not smooth;
-        the quadrature splits boxes there
     :param D: torus period
     """
 
     descriptor: str
-    density: Callable[[np.ndarray], np.ndarray] | None = None
+    cdf: Callable[[np.ndarray], np.ndarray] | None = None
     atoms: tuple[tuple[float, float], ...] | None = None
-    breakpoints: tuple[float, ...] = ()
     D: float = 1.0
 
 
@@ -76,71 +68,81 @@ class DiscreteMeasure:
 class AnalyticSolution:
     """Closed-form optimizers of a benchmark transport problem.
 
-    phi is None when no closed-form potential exists. rho_breakpoints(t)
-    returns the canonical kink locations of rho(t, .) for the quadrature.
+    cdf(t, x) is the cumulative mass of the time-t interpolating measure on
+    lifted coordinates, as AnalyticMeasure.cdf. phi is None when no
+    closed-form potential exists.
     """
 
     cost: float
-    rho: Callable[[float, np.ndarray], np.ndarray]
+    cdf: Callable[[float, np.ndarray], np.ndarray]
     v: Callable[[float, np.ndarray], np.ndarray]
     phi: Callable[[float, np.ndarray], np.ndarray] | None
-    rho_breakpoints: Callable[[float], tuple[float, ...]] = field(default=lambda t: ())
 
     def slice_measure(self, t: float, D: float = 1.0) -> AnalyticMeasure:
         """The time-t interpolating measure as an AnalyticMeasure."""
-        return AnalyticMeasure(
-            descriptor=f"rho(t={t:g})",
-            density=lambda x: self.rho(t, x),
-            breakpoints=self.rho_breakpoints(t),
-            D=D,
-        )
+        return AnalyticMeasure(descriptor=f"rho(t={t:g})", cdf=lambda x: self.cdf(t, x), D=D)
 
 
-# 20/40-node Gauss-Legendre rules; the 40-node rule rechecks every piece
-_GL20 = np.polynomial.legendre.leggauss(20)
-_GL40 = np.polynomial.legendre.leggauss(40)
+def _lifted(cdf_c):
+    """Lift the cumulative mass cdf_c of a unit mass on [-1/2, 1/2], with
+    cdf_c(-1/2) = 0 and cdf_c(1/2) = 1, to R with period 1."""
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        k = np.floor(x + 0.5)
+        return k + cdf_c(x - k)
+    return cdf
+
+
+def _triangle_cdf(w: float):
+    """Cumulative mass of the unit triangle of half-width w <= 1/2 at 0."""
+    def cdf_c(y):
+        z = np.clip(y, -w, w) / w
+        return np.where(z < 0.0, 0.5 * (1.0 + z) ** 2, 1.0 - 0.5 * (1.0 - z) ** 2)
+    return _lifted(cdf_c)
+
+
+def _box_pair_cdf(lo: float, hi: float):
+    """Cumulative mass of the unit uniform mass on lo <= |x| <= hi, hi <= 1/2."""
+    def cdf_c(y):
+        return (np.clip(y, -hi, -lo) + np.clip(y, lo, hi) + (hi - lo)) / (2.0 * (hi - lo))
+    return _lifted(cdf_c)
+
+
+def _cosine_cdf(w: float):
+    """x + sin(2 pi w x)/(4 pi w), the cumulative mass of 1 + cos(2 pi w x)/2."""
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        return x + np.sin(2.0 * np.pi * w * x) / (4.0 * np.pi * w)
+    return cdf
 
 
 def uniform(D: float = 1.0) -> AnalyticMeasure:
-    return AnalyticMeasure("uniform", density=lambda x: np.ones_like(np.asarray(x, dtype=float)) / D, D=D)
+    return AnalyticMeasure("uniform", cdf=lambda x: np.asarray(x, dtype=float) / D, D=D)
 
 
 def cosine(w: float, D: float = 1.0) -> AnalyticMeasure:
     """Density 1 + cos(2 pi w x)/2; unit mass for integer w on D=1."""
-    return AnalyticMeasure(
-        "cosine", density=lambda x: 1.0 + 0.5 * np.cos(2.0 * np.pi * w * np.asarray(x)), D=D)
+    return AnalyticMeasure("cosine", cdf=_cosine_cdf(w), D=D)
 
 
 def triangle(w: float) -> AnalyticMeasure:
     """Triangular bump of half-width w at the origin, unit mass."""
-    return AnalyticMeasure(
-        "triangle",
-        density=lambda x: np.maximum(w - np.abs(np.asarray(x)), 0.0) / w ** 2,
-        breakpoints=(-w, 0.0, w))
+    return AnalyticMeasure("triangle", cdf=_triangle_cdf(w))
 
 
 def double_triangle(w: float) -> AnalyticMeasure:
     """Triangular bump of doubled half-width 2w, unit mass."""
-    return AnalyticMeasure(
-        "double_triangle",
-        density=lambda x: np.maximum(2.0 * w - np.abs(np.asarray(x)), 0.0) / (4.0 * w ** 2),
-        breakpoints=(-2.0 * w, 0.0, 2.0 * w))
+    return AnalyticMeasure("double_triangle", cdf=_triangle_cdf(2.0 * w))
 
 
 def box(w: float) -> AnalyticMeasure:
     """Uniform density on |x| <= w, unit mass."""
-    return AnalyticMeasure(
-        "box",
-        density=lambda x: np.where(np.abs(np.asarray(x)) <= w, 1.0 / (2.0 * w), 0.0),
-        breakpoints=(-w, w))
+    return AnalyticMeasure("box", cdf=_box_pair_cdf(0.0, w))
 
 
 def double_box(w: float) -> AnalyticMeasure:
     """Uniform density on the band 1/2 - |x| <= w around the seam, unit mass."""
-    return AnalyticMeasure(
-        "double_box",
-        density=lambda x: np.where(0.5 - np.abs(np.asarray(x)) <= w, 1.0 / (2.0 * w), 0.0),
-        breakpoints=(-(0.5 - w), 0.5 - w))
+    return AnalyticMeasure("double_box", cdf=_box_pair_cdf(0.5 - w, 0.5))
 
 
 def dirac(x0: float) -> AnalyticMeasure:
@@ -157,11 +159,9 @@ def _atom_index(x: float, grid: GridSpec) -> tuple[int, ...]:
 def project_measure(mu: AnalyticMeasure, grid: GridSpec) -> DiscreteMeasure:
     """Project a measure onto the grid: weight(j) = mu(box centered at j dx).
 
-    Atoms are assigned by half-open box membership. Densities are
-    integrated per box with Gauss-Legendre rules after splitting the box
-    at the measure's (analytically known) kink locations; each piece is
-    evaluated with 20- and 40-node rules and their disagreement must stay
-    below QUAD_TOL, else QuadratureError is raised.
+    Atoms are assigned by half-open box membership. Otherwise each weight
+    is the difference of the cumulative mass at the box's two edges; the
+    N + 1 edges (j - 1/2) dx tile one period.
     """
     if mu.atoms is not None:
         weights = np.zeros(grid.space_shape)
@@ -169,41 +169,11 @@ def project_measure(mu: AnalyticMeasure, grid: GridSpec) -> DiscreteMeasure:
             weights[_atom_index(x0, grid)] += m
         return DiscreteMeasure(weights)
     if grid.d != 1:
-        raise NotImplementedError("density projection is implemented for d=1")
+        raise NotImplementedError("cumulative-mass projection is implemented for d=1")
     if abs(mu.D - grid.D) > 1e-12 * grid.D:
         raise ValueError("measure period does not match the grid")
-
-    N, dx, D = grid.N_X, grid.dx, grid.D
-    # box edges tile [-dx/2, D - dx/2); lift breakpoints into that window
-    edges = (np.arange(N + 1) - 0.5) * dx
-    cuts = [edges]
-    if mu.breakpoints:
-        b = np.asarray(mu.breakpoints, dtype=float)
-        lifted = edges[0] + (b - edges[0]) % D
-        # drop breakpoints that coincide with box edges
-        snap = np.round((lifted - edges[0]) / dx)
-        on_edge = np.abs(lifted - (edges[0] + snap * dx)) < 1e-14 * D
-        cuts.append(lifted[~on_edge])
-    cuts = np.sort(np.concatenate(cuts))
-    mids = 0.5 * (cuts[1:] + cuts[:-1])
-    half = 0.5 * np.diff(cuts)
-    owner = np.clip(((mids - edges[0]) / dx).astype(int), 0, N - 1)
-
-    def rule(gl):
-        xg, wg = gl
-        nodes = mids[:, None] + half[:, None] * xg[None, :]
-        vals = mu.density(wrap(nodes, D))
-        return np.sum(vals * wg[None, :], axis=1) * half
-
-    i20, i40 = rule(_GL20), rule(_GL40)
-    err = np.abs(i20 - i40)
-    if np.max(err, initial=0.0) > QUAD_TOL:
-        raise QuadratureError(
-            f"box quadrature disagreement {np.max(err):.3e} exceeds {QUAD_TOL:.1e} "
-            f"for measure {mu.descriptor!r}; add the missing breakpoints")
-    weights = np.zeros(N)
-    np.add.at(weights, owner, i40)
-    # quadrature of a nonnegative density can round slightly below zero
+    weights = np.diff(mu.cdf((np.arange(grid.N_X + 1) - 0.5) * grid.dx))
+    # the difference of a nondecreasing cdf can round slightly below zero
     weights[weights < 0] = 0.0
     return DiscreteMeasure(weights)
 
@@ -212,9 +182,10 @@ def invert_transport_map(t: float, x, w: float):
     """Solve T_t(y) = x for y, where T_t(y) = y + t sin(2 pi w y)/(4 pi w).
 
     T_t is strictly increasing (T_t' >= 1/2 for t <= 1), so the solution is
-    unique up to period shifts; Newton from y = x converges to the image
-    nearest x. Vectorized over x. Falls back to bisection where Newton
-    fails to reach |T_t(y) - x| <= INVERSION_TOL.
+    unique, and Newton from y = x converges to it. For integer w, T_t(y + 1)
+    = T_t(y) + 1, so x may be a lifted coordinate. Vectorized over x. Falls
+    back to bisection where Newton fails to reach |T_t(y) - x| <=
+    INVERSION_TOL.
     """
     x = np.asarray(x, dtype=float)
     c = 4.0 * np.pi * w
@@ -270,10 +241,11 @@ def build_test_case(case_id: int, w: float | None = None
         if w != round(w) or w == 0:
             raise ValueError("case 1 requires a nonzero integer w")
 
-        def rho(t, x):
-            y = invert_transport_map(t, wrap(x), w)
-            cy = np.cos(2.0 * np.pi * w * y)
-            return (1.0 + 0.5 * cy) / (1.0 + 0.5 * t * cy)
+        F0 = _cosine_cdf(w)
+
+        def cdf(t, x):
+            # the slice is the cosine pushed forward by T_t: F_0(T_t^{-1}(x))
+            return F0(invert_transport_map(t, x, w))
 
         def v(t, x):
             y = invert_transport_map(t, wrap(x), w)
@@ -281,7 +253,7 @@ def build_test_case(case_id: int, w: float | None = None
 
         sol = AnalyticSolution(
             cost=1.0 / (64.0 * np.pi ** 2 * w ** 2),
-            rho=rho, v=v, phi=None)
+            cdf=cdf, v=v, phi=None)
         return cosine(w), uniform(), sol
 
     if case_id == 2:
@@ -289,9 +261,8 @@ def build_test_case(case_id: int, w: float | None = None
         if not 0.0 < w < 0.25:
             raise ValueError("case 2 requires 0 < w < 1/4")
 
-        def rho(t, x):
-            xc = wrap(x)
-            return np.maximum((1.0 + t) * w - np.abs(xc), 0.0) / ((1.0 + t) ** 2 * w ** 2)
+        def cdf(t, x):
+            return _triangle_cdf((1.0 + t) * w)(x)
 
         def v(t, x):
             return wrap(x) / (1.0 + t)
@@ -301,8 +272,7 @@ def build_test_case(case_id: int, w: float | None = None
 
         sol = AnalyticSolution(
             cost=w ** 2 / 12.0,
-            rho=rho, v=v, phi=phi,
-            rho_breakpoints=lambda t: (-(1.0 + t) * w, 0.0, (1.0 + t) * w))
+            cdf=cdf, v=v, phi=phi)
         return triangle(w), double_triangle(w), sol
 
     if case_id == 3:
@@ -311,9 +281,9 @@ def build_test_case(case_id: int, w: float | None = None
             raise ValueError("case 3 requires 0 < w < 1/2")
         s = 0.5 - w
 
-        def rho(t, x):
-            a = np.abs(wrap(x)) - t * s
-            return np.where((a >= 0.0) & (a <= w), 1.0 / (2.0 * w), 0.0)
+        def cdf(t, x):
+            # two boxes t s <= |x| <= t s + w, and t s + w <= s + w = 1/2
+            return _box_pair_cdf(t * s, min(t * s + w, 0.5))(x)
 
         def v(t, x):
             return s * np.sign(wrap(x))
@@ -321,14 +291,9 @@ def build_test_case(case_id: int, w: float | None = None
         def phi(t, x):
             return np.abs(wrap(x)) * s - 0.5 * s ** 2 * t
 
-        def breaks(t):
-            pts = {t * s, t * s + w, -t * s, -(t * s + w)}
-            return tuple(sorted(float(wrap(p)) for p in pts))
-
         sol = AnalyticSolution(
             cost=0.5 * s ** 2,
-            rho=rho, v=v, phi=phi,
-            rho_breakpoints=breaks)
+            cdf=cdf, v=v, phi=phi)
         return box(w), double_box(w), sol
 
     raise ValueError(f"unknown test case {case_id!r}")

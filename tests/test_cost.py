@@ -188,6 +188,34 @@ def test_newton_stop_scales_with_the_terms_of_g(quad, monkeypatch):
     assert abs(w[0, 123] - w_ref[0]) <= NEWTON_TOL * abs(w_ref[0])
 
 
+def test_newton_stops_where_a_step_no_longer_moves_lambda(quad, monkeypatch):
+    # lambda near 1e6 with g's terms near 5e-7: one ulp of lambda is 1.2e-10,
+    # so neither stop on |g| applies, and Newton used to run all
+    # NEWTON_MAX_ITER whole-array steps and then bisect this one cell
+    rng = np.random.default_rng(6)
+    a = rng.uniform(-0.2, 5.0, size=37057)
+    b = rng.uniform(-2.0, 2.0, size=(1, 37057))
+    a[100], b[0, 100] = 1e6, 1e3
+    monkeypatch.setattr(hjot.cost, "NEWTON_MAX_ITER", 5)
+    s, w = quad.project_onto_K(a, b)
+    converged = quad._newton[-2]  # all True unless the bisection ran
+    assert converged.all()
+    s_ref, w_ref = project_oracle(a[100], b[:, 100])
+    assert abs(s[100] - s_ref) <= NEWTON_TOL
+    assert abs(w[0, 100] - w_ref[0]) <= NEWTON_TOL
+
+
+def test_bisection_resolves_roots_far_below_its_bracket(quad):
+    # the start is undefined here (negative discriminant), and Newton from 0
+    # needs more than NEWTON_MAX_ITER steps; the root lambda = 3.2e17 lies
+    # below the resolution of 200 halvings of the bracket [0, 1e80]
+    a, b = -1e45, 1.414e40
+    s, w = quad.project_onto_K(np.array(a), np.array([b]))
+    s_ref, w_ref = project_oracle(a, np.array([b]))
+    assert abs(float(s) - s_ref) <= 1e-9 * abs(s_ref)
+    assert abs(float(w[0]) - w_ref[0]) <= 1e-9 * abs(w_ref[0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=finite, b=finite)
 def test_project_idempotent_and_feasible(a, b):

@@ -9,12 +9,13 @@ the four seed-0 benchmark solves (case 2 and case 3 at N = 64, case 1 at
 N = 128 and N = 192) and the other instances of the gate in README,
 Determinism (cases 1-3 at N = 32, case 1 at N = 64), all with README
 defaults and solved as hjot.bench.solve_instance solves them, it prints the
-iteration count, the final penalty r, the stop reason, K_D and the final
-dual objective F_D (both repr), and the SHA-256 of the raw bytes of phi, of
-the three Lambda arrays, of the three Sigma arrays and of the two residual
-histories. Two trees that print the same lines after the first compute
+iteration count, the final penalty r, the stop reason, K_D, the final dual
+objective F_D and the error metrics eps_v and eps_rho (all repr), and the
+SHA-256 of the raw bytes of phi, of the three Lambda arrays, of the three
+Sigma arrays and of the two residual histories. Two trees that print the same lines after the first compute
 bitwise-identical solves; two trees whose solves differ in rounding are
-compared by the iteration counts, K_D and F_D values.
+compared by the iteration counts, K_D and F_D values; a change to the error
+metrics alone shows in eps_v and eps_rho.
 """
 import hashlib
 
@@ -37,7 +38,8 @@ def main() -> None:
         state = out.state
         print(f"case{case}-N{N} iters={state.iters} r_final={state.r_final!r} "
               f"stop_reason={state.stop_reason} K_D={out.record.K_D!r} "
-              f"F_D={state.objective!r}")
+              f"F_D={state.objective!r} eps_v={out.record.eps_v!r} "
+              f"eps_rho={out.record.eps_rho!r}")
         arrays = [("phi", out.phi)]
         arrays += [(f"lam.{name}", x) for name, x in
                    zip(("lambda_rho", "lambda_m", "lambda_eta"), out.lam.parts())]
