@@ -111,15 +111,27 @@ def resolve_config(ns: argparse.Namespace) -> dict:
         v = getattr(ns, k)
         if v is not None:
             cfg[k] = v
+        if FLAGS[k][0] is int and cfg[k] is not None:
+            cfg[k] = _integer(k, cfg[k])
     cfg["command"] = cmd
     return cfg
+
+
+def _integer(key: str, value) -> int:
+    """The int that value stands for; a value int() would truncate is rejected."""
+    try:
+        if not isinstance(value, float) or value.is_integer():
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
 def parse_resolutions(value) -> list[int]:
     if isinstance(value, int):
         ns = [value]
     elif isinstance(value, (list, tuple)):
-        ns = [int(v) for v in value]
+        ns = [_integer("n", v) for v in value]
     else:
         try:
             ns = [int(s) for s in str(value).split(",") if s.strip()]
@@ -128,13 +140,6 @@ def parse_resolutions(value) -> list[int]:
     if not ns or any(n < 2 for n in ns):
         raise ConfigError(f"resolutions must be integers >= 2, got {value!r}")
     return ns
-
-
-def _jsonable(x):
-    """floats that JSON cannot carry become strings; None passes through."""
-    if isinstance(x, float) and not math.isfinite(x):
-        return repr(x)
-    return x
 
 
 # ------------------------------------------------------------- artifacts
@@ -175,8 +180,21 @@ def records_to_csv(report: ConvergenceReport) -> str:
 
 
 def _json_text(payload) -> str:
-    """The JSON format of every artifact: sorted keys, two-space indent."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The JSON format of every artifact: sorted keys, two-space indent, and
+    standard JSON only: a float JSON cannot carry, at any depth, becomes the
+    string "inf", "-inf" or "nan"."""
+    return json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _finite(x):
+    """x with every non-finite float in it, at any depth, as its repr."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else repr(float(x))
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return x
 
 
 def report_to_json(report: ConvergenceReport) -> str:
@@ -246,10 +264,10 @@ def _solver_args(cfg: dict, n_ok, n_error: str) -> tuple[int, list[int], dict]:
     if not n_ok(len(ns)):
         raise ConfigError(n_error)
     admm_cfg = AdmmConfig(r=float(cfg["admm_r"]), stop_tol=float(cfg["stop_tol"]),
-                          max_iters=int(cfg["max_iters"]))
-    return int(cfg["case"]), ns, dict(w=cfg["param"], zeta=float(cfg["zeta"]),
-                                      cost_spec=cfg["cost"], R=cfg["clamp_R"],
-                                      admm_config=admm_cfg)
+                          max_iters=cfg["max_iters"])
+    return cfg["case"], ns, dict(w=cfg["param"], zeta=float(cfg["zeta"]),
+                                 cost_spec=cfg["cost"], R=cfg["clamp_R"],
+                                 admm_config=admm_cfg)
 
 
 def cmd_solve(cfg: dict) -> int:
@@ -268,13 +286,12 @@ def cmd_solve(cfg: dict) -> int:
         "case": case, "w": w,
         "N": rec.N, "N_X": grid.N_X, "zeta": grid.zeta, "cost": cfg["cost"],
         "R": grid.R, "eps": grid.eps,
-        "K_D": _jsonable(rec.K_D), "K_analytic": res.sol.cost,
-        "duality_gap": _jsonable(rec.duality_gap),
+        "K_D": rec.K_D, "K_analytic": res.sol.cost, "duality_gap": rec.duality_gap,
         "iters": rec.iters, "converged": rec.converged,
         "stop_reason": res.state.stop_reason, "r_final": res.state.r_final,
         "primal_res": res.state.primal_res[-1], "dual_res": res.state.dual_res[-1],
-        "errors": {"eps_K": _jsonable(rec.eps_K), "eps_phi": _jsonable(rec.eps_phi),
-                   "eps_v": _jsonable(rec.eps_v), "eps_rho": _jsonable(rec.eps_rho)},
+        "errors": {"eps_K": rec.eps_K, "eps_phi": rec.eps_phi,
+                   "eps_v": rec.eps_v, "eps_rho": rec.eps_rho},
     }
     atomic_write_text(os.path.join(out, "summary.json"), _json_text(summary))
     print(f"K_D = {rec.K_D:.8g} (analytic {res.sol.cost:.8g}), "
@@ -326,9 +343,9 @@ def cmd_verify_scheme(cfg: dict) -> int:
 
     slopes = np.linspace(-grid.R, grid.R, 7)
     cons = max(consistency_residual(params, s) for s in slopes)
-    trials = int(cfg["trials"])
-    rep = check_monotone(params, trials=trials, seed=int(cfg["seed"]))
-    rng = np.random.default_rng(int(cfg["seed"]) + 1)
+    trials = cfg["trials"]
+    rep = check_monotone(params, trials=trials, seed=cfg["seed"])
+    rng = np.random.default_rng(cfg["seed"] + 1)
     preserve_excess = 0.0
     for _ in range(5):
         traj = solve_ivp(random_cr_field(grid, grid.R, rng), params)
@@ -346,7 +363,7 @@ def cmd_verify_scheme(cfg: dict) -> int:
           f"{trials} trials:")
     for name, ok, worst in checks:
         print(f"  {name:<20} {'PASS' if ok else 'FAIL'}  worst {worst:.3e}")
-    payload = {name: {"pass": ok, "worst": _jsonable(worst)}
+    payload = {name: {"pass": ok, "worst": worst}
                for name, ok, worst in checks}
     payload["eps"] = grid.eps
     payload["trials"] = trials
@@ -385,7 +402,7 @@ def cmd_hj_ivp(cfg: dict) -> int:
           f"decreasing: {decreasing}"
           + (f", fitted order {alpha:.3f}" if alpha is not None else ""))
     payload = {"rows": rows, "envelope_C": envelope, "decreasing": decreasing,
-               "fitted_order": _jsonable(alpha)}
+               "fitted_order": alpha}
     atomic_write_text(os.path.join(cfg["out"], "ivp.json"), _json_text(payload))
     csv = ["N,h,sup_error"] + ["%d,%.17g,%.17g" % (r["N"], r["h"], r["sup_error"])
                                for r in rows]

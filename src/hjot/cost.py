@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# residual |g| at which project_onto_K's Newton steps stop, and their cap
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 100
-# after a first step the stop also accepts |g| of a few roundings of its terms
-_ROUNDING = 4 * np.finfo(float).eps
+# residual |g| below which project_onto_K accepts a root of its cubic
+ROOT_TOL = 1e-12
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -56,7 +53,7 @@ class QuadraticCost(CostModel):
     kind = "quadratic"
     p = 2.0
     q = 2.0
-    _newton: tuple = ()
+    _scratch: tuple = ()
 
     def eval_L(self, v):
         return 0.5 * np.sum(np.asarray(v) ** 2, axis=0)
@@ -79,21 +76,14 @@ class QuadraticCost(CostModel):
             g(lambda) = (a - lambda) + |b|^2 / (2 (1+lambda)^2) = 0
 
         with a unique root lambda >= 0; the projection is
-        (s, w) = (a - lambda, b / (1+lambda)). Newton starts at the root in
-        closed form (_cubic_start), or at lambda = 0 where that is undefined;
-        g is convex and decreasing on lambda > -1. It stops at |g| <=
-        NEWTON_TOL; after the first step, also at |g| <= _ROUNDING (|a -
-        lambda| + |b|^2 / (2 (1+lambda)^2)), since g's rounding error grows
-        with its terms; and where a step no longer changes lambda, which then
-        ends at the midpoint of lambda and its neighbour float across the
-        root, as the bisection would. Cells unconverged after NEWTON_MAX_ITER
-        steps are bisected on the bracket [0, a + H(b)] (geometrically
-        widened) down to two adjacent floats.
+        (s, w) = (a - lambda, b / (1+lambda)). lambda is the root in closed
+        form (_cubic_start) where that meets |g| <= ROOT_TOL; the cells it
+        misses are bisected (_bisect_root). Each cell's answer depends on
+        that cell alone, not on the others in the array.
 
-        The Newton steps run on whole arrays, with no boolean indexing:
-        feasible cells are padded with a = 0, |b|^2 = 0, so they converge
-        at the first step and keep lambda = 0, and a - 0 and b / 1 return
-        them unchanged. Converged cells keep their lambda, as before. The
+        The closed form runs on whole arrays, with no boolean indexing:
+        feasible cells are padded with a = 0, |b|^2 = 0, where g(0) = 0, so
+        they keep lambda = 0, and a - 0 and b / 1 return them unchanged. The
         arrays are held by the cost model and reused while the shape stays
         the same, so one model must not project from two threads at once.
 
@@ -104,118 +94,55 @@ class QuadraticCost(CostModel):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         s, w = (np.empty_like(a), np.empty_like(b)) if out is None else out
-        a_pad, b2, half_b2, lam, opl, opl2, tmp, g, infeas, converged, active = \
-            self._newton_arrays(a.shape)
-        np.multiply(b[0], b[0], out=b2)
+        a_pad, half_b2, lam, opl, opl2, tmp, g, mask = self._arrays(a.shape)
+        np.multiply(b[0], b[0], out=half_b2)
         for k in range(1, b.shape[0]):
             np.multiply(b[k], b[k], out=tmp)
-            b2 += tmp
-        np.multiply(0.5, b2, out=half_b2)
+            half_b2 += tmp
+        half_b2 *= 0.5
         np.add(a, half_b2, out=tmp)
-        np.greater(tmp, 0, out=infeas)
-        if not infeas.any():
+        np.greater(tmp, 0, out=mask)
+        if not mask.any():
             np.copyto(s, a)
             np.copyto(w, b)
             return s, w
-        # pad the feasible cells with a = 0, |b|^2 = 0: there g(0) = 0, so
-        # they converge at the first step and keep lambda = 0
-        np.logical_not(infeas, out=converged)
+        np.logical_not(mask, out=mask)  # the feasible cells
         np.copyto(a_pad, a)
-        for arr in (a_pad, b2, half_b2):
-            np.copyto(arr, 0.0, where=converged)
-        _cubic_start(a_pad, half_b2, lam, opl, opl2, tmp, g, active)
-        np.copyto(lam, 0.0, where=converged)  # exactly 0, however cbrt rounds
-        tol = NEWTON_TOL
-        stalled = False
-        for _ in range(NEWTON_MAX_ITER):
-            np.add(1.0, lam, out=opl)
-            np.square(opl, out=opl2)
-            np.divide(half_b2, opl2, out=g)
-            np.subtract(a_pad, lam, out=tmp)
-            if tol is not NEWTON_TOL:
-                np.add(np.absolute(tmp, out=tol), g, out=tol)
-                np.maximum(np.multiply(tol, _ROUNDING, out=tol), NEWTON_TOL, out=tol)
-            g += tmp
-            np.absolute(g, out=tmp)
-            np.less_equal(tmp, tol, out=converged)
-            if converged.all():
-                stalled = False  # a stalled cell can meet the relative stop later
-                break
-            if tol is NEWTON_TOL:
-                tol = np.empty_like(tmp)
-            # (1 + lambda)^3 as a product with the kept square, cheaper than pow
-            np.multiply(opl2, opl, out=tmp)
-            np.divide(b2, tmp, out=tmp)
-            np.subtract(-1.0, tmp, out=tmp)
-            np.divide(g, tmp, out=tmp)
-            np.subtract(lam, tmp, out=opl)
-            # a step that no longer changes lambda cannot get closer to the
-            # root; such a cell stalls, and is finished after the loop
-            np.logical_not(converged, out=active)
-            np.equal(opl, lam, out=infeas)
-            infeas &= active
-            stalled = infeas.any()
-            if stalled:
-                converged |= infeas
-                if converged.all():
-                    break
-                np.logical_not(converged, out=active)
-            np.copyto(lam, opl, where=active)
-        if stalled:
-            # a stalled cell's root lies between lambda and its neighbour on
-            # the side of g's sign; end as the bisection ends on such a pair
-            # of adjacent floats, at their midpoint
-            li = lam[infeas]
-            lam[infeas] = 0.5 * (li + np.nextafter(li, np.copysign(np.inf, g[infeas])))
-        if not converged.all():
-            # Newton stalled somewhere; bisect the survivors
-            bad = ~converged
-            ai = a_pad[bad]
-            b2i = b2[bad]
-            lo = np.zeros(ai.shape)
-            hi = (ai + 0.5 * b2i).copy()
-            gb = lambda l: (ai - l) + 0.5 * b2i / (1.0 + l) ** 2
-            for _ in range(200):
-                if np.all(gb(hi) <= 0):
-                    break
-                hi *= 2.0
-            else:
-                raise RuntimeError("projection onto K failed to bracket the root")
-            # halve until each bracket holds two adjacent floats, however wide
-            # it was; 2200 halvings reach that from any finite bracket
-            for _ in range(2200):
-                mid = 0.5 * (lo + hi)
-                if np.all((mid == lo) | (mid == hi)):
-                    break
-                pos = gb(mid) > 0
-                lo = np.where(pos, mid, lo)
-                hi = np.where(pos, hi, mid)
-            lam_bad = 0.5 * (lo + hi)
-            # g cancels terms of size |a| + |b|^2/2, so its rounding error
-            # grows with them and the accepted residual must too
-            scale = np.maximum(1.0, np.abs(ai) + 0.5 * b2i)
-            if np.any(np.abs(gb(lam_bad)) > 1e3 * NEWTON_TOL * scale):
-                raise RuntimeError("projection onto K did not converge")
-            lam[bad] = lam_bad
+        np.copyto(a_pad, 0.0, where=mask)
+        np.copyto(half_b2, 0.0, where=mask)
+        _cubic_start(a_pad, half_b2, lam, opl, opl2, tmp, g)
+        np.copyto(lam, 0.0, where=mask)  # exactly 0, however cbrt rounds
+        np.add(1.0, lam, out=opl)
+        np.square(opl, out=opl2)
+        np.divide(half_b2, opl2, out=g)
+        np.subtract(a_pad, lam, out=tmp)
+        g += tmp
+        np.absolute(g, out=g)
+        # the cells the closed form misses; a NaN residual is one of them
+        np.less_equal(g, ROOT_TOL, out=mask)
+        np.logical_not(mask, out=mask)
+        if mask.any():
+            lam[mask] = _bisect_root(a_pad[mask], half_b2[mask])
         # lambda = 0 on feasible cells, where a - 0 = a and b / 1 = b exactly
         np.add(1.0, lam, out=opl)
         np.subtract(a, lam, out=s)
         np.divide(b, opl, out=w)
         return s, w
 
-    def _newton_arrays(self, shape: tuple) -> tuple:
+    def _arrays(self, shape: tuple) -> tuple:
         """Scratch arrays of project_onto_K, reallocated when the shape changes."""
-        if not self._newton or self._newton[0].shape != shape:
-            self._newton = (tuple(np.empty(shape) for _ in range(8))
-                            + tuple(np.empty(shape, dtype=bool) for _ in range(3)))
-        return self._newton
+        if not self._scratch or self._scratch[0].shape != shape:
+            self._scratch = (tuple(np.empty(shape) for _ in range(7))
+                             + (np.empty(shape, dtype=bool),))
+        return self._scratch
 
 
-def _cubic_start(a, half_b2, lam, u, u2, t, x, bad):
+def _cubic_start(a, half_b2, lam, u, u2, t, x):
     """Cardano's root lambda >= 0 of g = (a - lambda) + B/(1+lambda)^2, B = half_b2,
     into lam: mu = 1 + lambda solves mu^3 - 3u mu^2 = B, u = (1+a)/3, and where
     u^3 + B/4 >= 0 is mu = u + s + u^2/s, s^3 = u^3 + B/2 + sqrt(B) sqrt(u^3 + B/4);
-    elsewhere lam is 0. u, u2, t, x, bad are scratch; no warning is emitted."""
+    elsewhere, and where a term overflows to NaN, lam is 0. u, u2, t, x are
+    scratch; no warning is emitted."""
     with np.errstate(all="ignore"):
         np.add(1.0, a, out=u)
         u /= 3.0
@@ -235,8 +162,43 @@ def _cubic_start(a, half_b2, lam, u, u2, t, x, bad):
         lam += x
         lam -= 1.0
         np.fmax(lam, 0.0, out=lam)  # also turns NaN into 0
-        # Newton's (1+lambda)^3 overflows above 5.6e102; start there from 0
-        np.copyto(lam, 0.0, where=np.greater(lam, 1e100, out=bad))
+
+
+def _bisect_root(a, half_b2):
+    """The root lambda >= 0 of g = (a - lambda) + B/(1+lambda)^2, B = half_b2,
+    for 1-d arrays with a + B > 0, each cell on its own: its bracket [0, a + B]
+    doubles until g <= 0 at the top, then halves until it holds two adjacent
+    floats, whose midpoint is returned. Where B = 0 the root is a, and the
+    bracket starts at [a, a]. (1+lambda)^2 may overflow: B / inf = 0 is g's
+    limit there."""
+    def g(lam):
+        return (a - lam) + half_b2 / (1.0 + lam) ** 2
+
+    with np.errstate(over="ignore"):
+        lo = np.where(half_b2 == 0, a, 0.0)
+        hi = a + half_b2
+        for _ in range(200):
+            up = ~(g(hi) <= 0)  # a NaN never brackets
+            if not up.any():
+                break
+            hi = np.where(up, 2.0 * hi, hi)
+        else:
+            raise RuntimeError("projection onto K failed to bracket the root")
+        # 2200 halvings reach two adjacent floats from any finite bracket; a
+        # cell whose midpoint is lo or hi keeps that midpoint in later rounds
+        mid = 0.5 * (lo + hi)
+        for _ in range(2200):
+            if np.all((mid == lo) | (mid == hi)):
+                break
+            pos = g(mid) > 0
+            lo = np.where(pos, mid, lo)
+            hi = np.where(pos, hi, mid)
+            mid = 0.5 * (lo + hi)
+        # g cancels terms of size |a| + B, so its rounding error grows with
+        # them and the accepted residual must too
+        if not np.all(np.abs(g(mid)) <= 1e3 * ROOT_TOL * np.maximum(1.0, np.abs(a) + half_b2)):
+            raise RuntimeError("projection onto K did not converge")
+    return mid
 
 
 class PowerCost(CostModel):

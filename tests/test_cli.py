@@ -175,6 +175,31 @@ def test_config_file_rejections(tmp_path, capsys):
     assert main(["solve", "--config", str(not_obj)]) == 3
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("solve", "case", 2.7), ("solve", "max_iters", 3.9),
+    ("verify-scheme", "trials", 10.5), ("verify-scheme", "seed", 0.5),
+    ("hj-ivp", "n", [8, 16.5]),
+])
+def test_config_file_rejects_non_integral_integer_keys(tmp_path, capsys, command, key, value):
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(CHEAP[command], **{key: value}, out=str(out))))
+    assert main([command, "--config", str(cfg_path)]) == 3
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_integral_floats_are_recorded_as_run(tmp_path):
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"case": 2.0, "n": [8.0], "max_iters": 3.0,
+                                    "out": str(out)}))
+    assert main(["solve", "--config", str(cfg_path)]) == 2  # 3 iterations do not converge
+    resolved = (out / "config_resolved.json").read_text()
+    assert '"case": 2,' in resolved and '"max_iters": 3,' in resolved
+    assert json.loads((out / "summary.json").read_text())["iters"] == 3
+
+
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_help_lists_config_and_one_flag_per_key(command, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -308,6 +333,19 @@ def test_hj_ivp_errors_decrease(tmp_path, capsys):
     csv = (out / "ivp.csv").read_text().splitlines()
     assert csv[0] == "N,h,sup_error"
     assert len(csv) == 3
+
+
+def test_hj_ivp_artifacts_are_standard_json(tmp_path, capsys):
+    # a slope clamp far below the data's slopes makes the error blow up
+    out = tmp_path / "ivp"
+    assert main(["hj-ivp", "--n", "32,64", "--clamp-R", "0.01", "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+
+    payload = json.loads((out / "ivp.json").read_text(), parse_constant=reject)
+    assert payload["envelope_C"] == "inf" and payload["fitted_order"] == "nan"
+    json.loads((out / "config_resolved.json").read_text(), parse_constant=reject)
 
 
 @pytest.mark.skipif(shutil.which("hjot") is None,

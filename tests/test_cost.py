@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import hjot.cost
-from hjot.cost import NEWTON_TOL, PowerCost, QuadraticCost, _cubic_start, make_cost
+from hjot.cost import ROOT_TOL, PowerCost, QuadraticCost, _cubic_start, make_cost
 from hjot.grid import make_grid
 from hjot.transport import PrimalVars, primal_objective
 
@@ -15,14 +14,15 @@ finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 def project_oracle(a: float, b: np.ndarray, tol: float = 1e-14):
     """Projection onto {s + |w|^2/2 <= 0} by bisection on the KKT scalar.
 
-    Independent of the library's Newton solve: brackets the root of
+    Independent of the library's closed form: brackets the root of
     g(lam) = (a - lam) + |b|^2/(2 (1+lam)^2) on [0, hi] and bisects.
     """
     b = np.asarray(b, dtype=float)
     b2 = float(b @ b)
     if a + 0.5 * b2 <= 0:
         return a, b
-    g = lambda lam: (a - lam) + 0.5 * b2 / (1.0 + lam) ** 2
+    # a product, unlike ** 2 (C pow), is rounded correctly and never raises
+    g = lambda lam: (a - lam) + 0.5 * b2 / ((1.0 + lam) * (1.0 + lam))
     lo, hi = 0.0, a + 0.5 * b2
     while g(hi) > 0:
         hi *= 2.0
@@ -100,38 +100,38 @@ EXTREME_POINTS += [(-0.5 * b * b + shift, b)
 
 
 def test_project_extreme_inputs_match_bisection(quad):
-    # all in one call so that feasible cells pad the Newton steps
+    # all in one call so that feasible cells pad the closed form
     pts = EXTREME_POINTS
     a = np.array([p[0] for p in pts])
     b = np.array([[p[1] for p in pts]])
     s, w = quad.project_onto_K(a, b)
     for i, (ai, bi) in enumerate(pts):
         s_ref, w_ref = project_oracle(ai, np.array([bi]))
-        assert abs(s[i] - s_ref) <= NEWTON_TOL, (ai, bi)
-        assert abs(w[0, i] - w_ref[0]) <= NEWTON_TOL, (ai, bi)
-    # a + |b|^2/2 = 0.5 with terms of size 5e11: Newton cannot reach
-    # NEWTON_TOL there, and the bisection fallback must accept its answer
+        assert abs(s[i] - s_ref) <= ROOT_TOL, (ai, bi)
+        assert abs(w[0, i] - w_ref[0]) <= ROOT_TOL, (ai, bi)
+    # a + |b|^2/2 = 0.5 with terms of size 5e11: the closed form cannot
+    # reach ROOT_TOL there, and the bisection must accept its answer
     a_big = -0.5e12 * (1.0 - 1e-12)
     for bi in (1e6, -1e6):
         s, w = quad.project_onto_K(np.array(a_big), np.array([bi]))
         s_ref, w_ref = project_oracle(a_big, np.array([bi]))
-        assert abs(float(s) - s_ref) <= NEWTON_TOL * max(1.0, abs(a_big)), bi
-        assert abs(float(w[0]) - w_ref[0]) <= NEWTON_TOL * max(1.0, abs(a_big)), bi
+        assert abs(float(s) - s_ref) <= ROOT_TOL * max(1.0, abs(a_big)), bi
+        assert abs(float(w[0]) - w_ref[0]) <= ROOT_TOL * max(1.0, abs(a_big)), bi
 
 
-def test_cubic_start_alone_meets_newton_tol():
+def test_cubic_start_alone_meets_root_tol():
     # wider than the projection inputs of the benchmark solves
     a, half_b2 = (x.ravel() for x in np.meshgrid(np.linspace(-0.2, 5.0, 105),
                                                  np.linspace(0.0, 3.0, 61)))
     keep = a + half_b2 > 0
     a, half_b2 = a[keep], half_b2[keep]
     lam = np.empty_like(a)
-    scratch = [np.empty_like(a) for _ in range(4)] + [np.empty(a.shape, dtype=bool)]
+    scratch = [np.empty_like(a) for _ in range(4)]
     _cubic_start(a, half_b2, lam, *scratch)
     g = (a - lam) + half_b2 / (1.0 + lam) ** 2
     assert np.all(lam >= 0)
-    assert np.max(np.abs(g)) <= NEWTON_TOL
-    # undefined starts are 0: a negative discriminant, an overflowing cube
+    assert np.max(np.abs(g)) <= ROOT_TOL
+    # undefined roots are 0: a negative discriminant, cubes that overflow
     a, half_b2 = np.array([-6.0, -1e120, 1e200]), np.array([250.0 / 27.0, 5e121, 0.0])
     _cubic_start(a, half_b2, lam[:3], *(x[:3] for x in scratch))
     assert np.array_equal(lam[:3], np.zeros(3))
@@ -139,7 +139,7 @@ def test_cubic_start_alone_meets_newton_tol():
 
 def test_project_warns_nowhere_and_matches_bisection(quad):
     # the discriminant 4 (1+a)^3 + 27 |b|^2/2 is negative at the first point,
-    # and (1+a)^3 overflows at the second; both start Newton from 0
+    # and (1+a)^3 overflows at the second; the closed form misses both
     pts = [(-6.0, 4.303314829119352), (-1e120, 1e61)] + EXTREME_POINTS
     a = np.array([p[0] for p in pts])
     b = np.array([[p[1] for p in pts]])
@@ -147,15 +147,15 @@ def test_project_warns_nowhere_and_matches_bisection(quad):
         warnings.simplefilter("error")
         s, w = quad.project_onto_K(a, b)
         single = [quad.project_onto_K(np.array(ai), np.array([bi])) for ai, bi in pts]
-        # Newton's (1+lambda)^3 would overflow one ulp off this root; from 0
-        # one step lands on lambda = a exactly, where it is never formed
+        # the closed form misses the root lambda = a here, and the bisection
+        # returns it exactly, from the bracket [a, a] of b = 0
         big = quad.project_onto_K(np.array(7e102), np.array([0.0]))
     assert float(big[0]) == 0.0 and float(big[1][0]) == 0.0
     for i, (ai, bi) in enumerate(pts):
         s_ref, w_ref = project_oracle(ai, np.array([bi]))
         for got_s, got_w in ((s[i], w[0, i]), (float(single[i][0]), float(single[i][1][0]))):
-            assert abs(got_s - s_ref) <= NEWTON_TOL * max(1.0, abs(s_ref)), (ai, bi)
-            assert abs(got_w - w_ref[0]) <= NEWTON_TOL * max(1.0, abs(w_ref[0])), (ai, bi)
+            assert abs(got_s - s_ref) <= ROOT_TOL * max(1.0, abs(s_ref)), (ai, bi)
+            assert abs(got_w - w_ref[0]) <= ROOT_TOL * max(1.0, abs(w_ref[0])), (ai, bi)
 
 
 def test_project_mixed_arrays_keep_feasible_cells_bitwise(quad):
@@ -172,43 +172,46 @@ def test_project_mixed_arrays_keep_feasible_cells_bitwise(quad):
     assert np.allclose(w * (1.0 + lam), b, rtol=1e-14, atol=0)
 
 
-def test_newton_stop_scales_with_the_terms_of_g(quad, monkeypatch):
-    # a + |b|^2/2 = 0.5 with terms of size 5e11: |g| <= NEWTON_TOL is out of
-    # reach there, so the absolute stop alone ran all NEWTON_MAX_ITER steps
-    rng = np.random.default_rng(5)
-    a = rng.uniform(-0.2, 5.0, size=500)
-    b = rng.uniform(-2.0, 2.0, size=(1, 500))
-    a[123], b[0, 123] = -0.5e12 * (1.0 - 1e-12), 1e6
-    monkeypatch.setattr(hjot.cost, "NEWTON_MAX_ITER", 5)
-    s, w = quad.project_onto_K(a, b)
-    converged = quad._newton[-2]  # the Newton loop's mask, all True if it ended there
-    assert converged.all()
-    s_ref, w_ref = project_oracle(a[123], b[:, 123])
-    assert abs(s[123] - s_ref) <= NEWTON_TOL * abs(a[123])
-    assert abs(w[0, 123] - w_ref[0]) <= NEWTON_TOL * abs(w_ref[0])
+def extreme_inputs(n: int, seed: int):
+    """n cells (a, b), d = 1, with |a| from 1e-6 to 1e300, |b| from 1e-6 to 1e150."""
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 300.0, n)
+    b = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 150.0, n)
+    return a, b
 
 
-def test_newton_stops_where_a_step_no_longer_moves_lambda(quad, monkeypatch):
-    # lambda near 1e6 with g's terms near 5e-7: one ulp of lambda is 1.2e-10,
-    # so neither stop on |g| applies, and Newton used to run all
-    # NEWTON_MAX_ITER whole-array steps and then bisect this one cell
-    rng = np.random.default_rng(6)
-    a = rng.uniform(-0.2, 5.0, size=37057)
-    b = rng.uniform(-2.0, 2.0, size=(1, 37057))
-    a[100], b[0, 100] = 1e6, 1e3
-    monkeypatch.setattr(hjot.cost, "NEWTON_MAX_ITER", 5)
-    s, w = quad.project_onto_K(a, b)
-    converged = quad._newton[-2]  # all True unless the bisection ran
-    assert converged.all()
-    s_ref, w_ref = project_oracle(a[100], b[:, 100])
-    assert abs(s[100] - s_ref) <= NEWTON_TOL
-    assert abs(w[0, 100] - w_ref[0]) <= NEWTON_TOL
+def test_projection_of_a_cell_does_not_depend_on_its_neighbours(quad):
+    a, b = -4.759470714024043e45, -3.1232381465457116e98
+    alone = quad.project_onto_K(np.array([a]), np.array([[b]]))
+    paired = quad.project_onto_K(np.array([a, 1.2076811402033425e152]),
+                                 np.array([[b, -1.39242039459236e56]]))
+    assert alone[0][0] == paired[0][0] and alone[1][0, 0] == paired[1][0, 0]
+    a, b = extreme_inputs(3000, seed=31)
+    s, w = quad.project_onto_K(a, b[None])
+    for i in range(a.size):
+        si, wi = quad.project_onto_K(a[i:i + 1], b[None, i:i + 1])
+        assert si[0] == s[i] and wi[0, 0] == w[0, i], (a[i], b[i])
+
+
+def test_cells_the_closed_form_misses_match_the_oracle_bitwise(quad):
+    a, b = extreme_inputs(3000, seed=32)
+    half_b2 = 0.5 * (b * b)
+    lam = np.empty_like(a)
+    _cubic_start(a, half_b2, lam, *(np.empty_like(a) for _ in range(4)))
+    with np.errstate(over="ignore"):
+        g = (a - lam) + half_b2 / (1.0 + lam) ** 2
+    missed = np.flatnonzero((a + half_b2 > 0) & ~(np.abs(g) <= ROOT_TOL))
+    assert missed.size > 1000
+    s, w = quad.project_onto_K(a, b[None])
+    for i in missed:
+        s_ref, w_ref = project_oracle(float(a[i]), b[i:i + 1])
+        assert s[i] == s_ref and w[0, i] == w_ref[0], (a[i], b[i])
 
 
 def test_bisection_resolves_roots_far_below_its_bracket(quad):
-    # the start is undefined here (negative discriminant), and Newton from 0
-    # needs more than NEWTON_MAX_ITER steps; the root lambda = 3.2e17 lies
-    # below the resolution of 200 halvings of the bracket [0, 1e80]
+    # the closed form is undefined here (negative discriminant); the root
+    # lambda = 3.2e17 lies below the resolution of 200 halvings of the
+    # bracket [0, 1e80]
     a, b = -1e45, 1.414e40
     s, w = quad.project_onto_K(np.array(a), np.array([b]))
     s_ref, w_ref = project_oracle(a, np.array([b]))
