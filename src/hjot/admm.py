@@ -179,7 +179,7 @@ class SpectralPhiSolver:
 
 def phi_update(solver, problem: TransportProblem, sigma: SigmaVars,
                lam: PrimalVars, r: float, out: np.ndarray | None = None,
-               work: PrimalVars | None = None) -> np.ndarray:
+               work: PrimalVars | SigmaVars | None = None) -> np.ndarray:
     """Solve r A^T A Phi = F_D - A^T Lambda + r A^T Sigma, mean-anchored.
 
     out (a Q_D array, which also holds the right-hand side) and work
@@ -187,9 +187,8 @@ def phi_update(solver, problem: TransportProblem, sigma: SigmaVars,
     """
     if work is None:
         work = PrimalVars.zeros(problem.grid)
-    for comb, l, sg in zip(work.parts(), lam.parts(), sigma.parts()):
-        np.multiply(r, sg, out=comb)
-        np.subtract(l, comb, out=comb)
+    np.multiply(r, sigma.flat, out=work.flat)
+    np.subtract(lam.flat, work.flat, out=work.flat)
     rhs = problem.operator.apply_transpose(work, out=out)
     np.subtract(problem.objective_data, rhs, out=rhs)
     rhs /= r
@@ -204,35 +203,26 @@ def sigma_update(problem: TransportProblem, a_phi: SigmaVars, lam: PrimalVars,
     """
     if out is None:
         out = SigmaVars.zeros(problem.grid)
-    for shifted, a, l in zip(out.parts(), a_phi.parts(), lam.parts()):
-        np.divide(l, r, out=shifted)
-        np.add(a, shifted, out=shifted)
+    np.divide(lam.flat, r, out=out.flat)
+    np.add(a_phi.flat, out.flat, out=out.flat)
     problem.cost.project_onto_K(out.sigma_t, out.sigma_x, out=(out.sigma_t, out.sigma_x))
     np.clip(out.sigma_r, -problem.R, problem.R, out=out.sigma_r)
     return out
 
 
-def lambda_update(lam: PrimalVars, a_phi: SigmaVars, sigma: SigmaVars,
-                  r: float, out: PrimalVars | None = None) -> PrimalVars:
-    """Multiplier ascent Lambda <- Lambda + r (A Phi - Sigma).
+def lambda_update(lam: PrimalVars, residual: SigmaVars, r: float) -> PrimalVars:
+    """Multiplier ascent Lambda <- Lambda + r (A Phi - Sigma), in place.
 
-    out must not share memory with the inputs; it is allocated when None.
+    residual holds A Phi - Sigma and is scaled by r in place; lam is
+    returned.
     """
-    if out is None:
-        out = PrimalVars(*(np.empty_like(x) for x in lam.parts()))
-    for new, l, a, sg in zip(out.parts(), lam.parts(), a_phi.parts(), sigma.parts()):
-        np.subtract(a, sg, out=new)
-        new *= r
-        np.add(l, new, out=new)
-    return out
+    residual.flat *= r
+    lam.flat += residual.flat
+    return lam
 
 
-def _norm(arrays) -> float:
-    """Euclidean norm over all the arrays, summed in a fixed order."""
-    total = 0.0
-    for x in arrays:
-        total += float(np.vdot(x, x))
-    return math.sqrt(total)
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(float(np.vdot(x, x)))
 
 
 def solve(problem: TransportProblem,
@@ -256,29 +246,30 @@ def solve(problem: TransportProblem,
     r = config.r
 
     phi = np.zeros((g.N_T + 1,) + g.space_shape)
-    lam, lam_next = PrimalVars.zeros(g), PrimalVars.zeros(g)
+    lam = PrimalVars.zeros(g)
     a_phi, sigma_next = SigmaVars.zeros(g), SigmaVars.zeros(g)
-    a_t_delta = np.empty_like(phi)
+    # A^T(Sigma_k - Sigma_{k-1}) goes into the head of A Phi's buffer, which
+    # holds nothing the iteration reads once the multipliers are updated
+    a_t_delta = a_phi.flat[:phi.size].reshape(phi.shape)
     sigma = sigma_update(problem, A.apply(phi, out=a_phi), lam, r)
     solver = SpectralPhiSolver(g)
 
     primal_res, dual_res = [], []
     stop_reason = "max_iters"
     for it in range(1, config.max_iters + 1):
-        # lam_next is free until lambda_update, so phi_update uses it as scratch
-        phi = phi_update(solver, problem, sigma, lam, r, out=phi, work=lam_next)
+        # A Phi is free until A.apply, so phi_update uses it as scratch
+        phi = phi_update(solver, problem, sigma, lam, r, out=phi, work=a_phi)
         a_phi = A.apply(phi, out=a_phi)
         sigma_next = sigma_update(problem, a_phi, lam, r, out=sigma_next)
-        lam, lam_next = lambda_update(lam, a_phi, sigma_next, r, out=lam_next), lam
 
         # the residuals overwrite A Phi and the previous Sigma, which no
-        # later step reads: A Phi - Sigma_k, then Sigma_k - Sigma_{k-1}
-        for a, s in zip(a_phi.parts(), sigma_next.parts()):
-            a -= s
-        primal = _norm(a_phi.parts())
-        for s_new, s in zip(sigma_next.parts(), sigma.parts()):
-            np.subtract(s_new, s, out=s)
-        dual = r * _norm([A.apply_transpose(PrimalVars(*sigma.parts()), out=a_t_delta)])
+        # later step reads: A Phi - Sigma_k, then Sigma_k - Sigma_{k-1},
+        # a vector of A's row space like Lambda
+        a_phi.flat -= sigma_next.flat
+        primal = _norm(a_phi.flat)
+        lam = lambda_update(lam, a_phi, r)
+        np.subtract(sigma_next.flat, sigma.flat, out=sigma.flat)
+        dual = r * _norm(A.apply_transpose(sigma, out=a_t_delta))
         sigma, sigma_next = sigma_next, sigma
 
         primal_res.append(primal)

@@ -58,6 +58,8 @@ class ErrorRecord:
     wall_time: float
     converged: bool
     duality_gap: float
+    stop_reason: str  # AdmmState.stop_reason
+    r_final: float  # the ADMM penalty at the stop
 
 
 @dataclass
@@ -186,6 +188,8 @@ def solve_instance(case_id: int, N: int, *, w: float | None = None,
         wall_time=wall,
         converged=state.converged,
         duality_gap=gap,
+        stop_reason=state.stop_reason,
+        r_final=state.r_final,
     )
     return SolveOutput(record, phi, lam, problem, sol, state)
 

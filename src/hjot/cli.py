@@ -18,7 +18,8 @@ reproduced from its artifacts; a run rejected with exit code 3 writes
 nothing there. All outputs are deterministic for a fixed config, except the
 wall_time column of sweep records.
 
-Exit codes: 0 success, 2 non-convergence, 3 invalid config, 4 property failure.
+Exit codes: 0 success, 2 non-convergence, 3 invalid config, 4 property
+failure (verify-scheme) or a non-finite error (hj-ivp).
 """
 from __future__ import annotations
 
@@ -160,12 +161,13 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def _cell(x) -> str:
-    """CSV cell: empty for None, 0/1 for bools, str for ints, %.17g for floats."""
+    """CSV cell: empty for None, 0/1 for bools, str for ints and strings,
+    %.17g for floats."""
     if x is None:
         return ""
     if isinstance(x, bool):
         return str(int(x))
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
         return str(x)
     return "%.17g" % x
 
@@ -389,7 +391,8 @@ def cmd_hj_ivp(cfg: dict) -> int:
         for i, t in enumerate(grid.times()):
             exact = np.array([hopf_lax(phi0, float(t), float(xj), cost, grid)
                               for xj in x])
-            sup = max(sup, float(np.max(np.abs(traj[i] - exact))))
+            err = float(np.max(np.abs(traj[i] - exact)))
+            sup = max(sup, math.inf if math.isnan(err) else err)  # max drops a NaN
         rows.append({"N": n, "h": grid.h, "sup_error": sup,
                      "c_over_sqrt_h": sup / math.sqrt(grid.h)})
         print(f"  N={n:<4d} h={grid.h:.5f} sup|Phi - phi| = {sup:.6e}")
@@ -407,6 +410,9 @@ def cmd_hj_ivp(cfg: dict) -> int:
     csv = ["N,h,sup_error"] + ["%d,%.17g,%.17g" % (r["N"], r["h"], r["sup_error"])
                                for r in rows]
     atomic_write_text(os.path.join(cfg["out"], "ivp.csv"), "\n".join(csv) + "\n")
+    if not all(math.isfinite(x) for x in [envelope] + [r["sup_error"] for r in rows]):
+        print("FAIL: the scheme's error is not finite", file=sys.stderr)
+        return 4
     return 0
 
 

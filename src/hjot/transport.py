@@ -20,18 +20,46 @@ velocity is recovered as V = lam_m / lam_rho on the support of lam_rho.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .cost import CostModel
-from .grid import (GridSpec, backward_diff, centered_diff, centered_gradient, discrete_laplacian,
-                   forward_diff)
+from .grid import GridSpec, centered_diff, discrete_laplacian, forward_diff
 from .measures import DiscreteMeasure
 
 
+class _RowVector:
+    """Three fields of A's row space, held as reshaped views of one flat
+    buffer, ``flat``, in field order: the order of A's row blocks.
+
+    Construction copies the given arrays into a new buffer and rebinds each
+    field to its view, so whole-vector steps are one ufunc on ``flat``. A
+    field rebound later to another array no longer shares ``flat``.
+    """
+
+    def __post_init__(self) -> None:
+        parts = self.parts()
+        self.flat = np.concatenate([np.ravel(x) for x in parts], dtype=float)
+        start = 0
+        for f, x in zip(fields(self), parts):
+            setattr(self, f.name, self.flat[start:start + x.size].reshape(x.shape))
+            start += x.size
+
+    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    @classmethod
+    def zeros(cls, grid: GridSpec):
+        sp = grid.space_shape
+        return cls(np.zeros((grid.N_T,) + sp), np.zeros((grid.d, grid.N_T) + sp),
+                   np.zeros((grid.d,) + sp))
+
+
 @dataclass
-class SigmaVars:
+class SigmaVars(_RowVector):
     """Split variables mirroring (A_t Phi, A_x Phi, A_R Phi).
 
     sigma_t: (N_T, *spatial); sigma_x: (d, N_T, *spatial);
@@ -42,19 +70,9 @@ class SigmaVars:
     sigma_x: np.ndarray
     sigma_r: np.ndarray
 
-    @staticmethod
-    def zeros(grid: GridSpec) -> "SigmaVars":
-        sp = grid.space_shape
-        return SigmaVars(np.zeros((grid.N_T,) + sp),
-                         np.zeros((grid.d, grid.N_T) + sp),
-                         np.zeros((grid.d,) + sp))
-
-    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.sigma_t, self.sigma_x, self.sigma_r
-
 
 @dataclass
-class PrimalVars:
+class PrimalVars(_RowVector):
     """Multipliers (mass, momentum, clamp) of the primal problem.
 
     lambda_rho: (N_T, *spatial); lambda_m: (d, N_T, *spatial);
@@ -67,75 +85,106 @@ class PrimalVars:
     lambda_m: np.ndarray
     lambda_eta: np.ndarray
 
-    @staticmethod
-    def zeros(grid: GridSpec) -> "PrimalVars":
-        sp = grid.space_shape
-        return PrimalVars(np.zeros((grid.N_T,) + sp),
-                          np.zeros((grid.d, grid.N_T) + sp),
-                          np.zeros((grid.d,) + sp))
 
-    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.lambda_rho, self.lambda_m, self.lambda_eta
+def _stencil_row(stencil, grid: GridSpec) -> list[tuple[int, float]]:
+    """(offset, weight) of each entry of a row of the periodic stencil's
+    matrix on one axis, backward neighbours first.
+
+    The stencil applied to the unit vector e_0 of the axis is column 0 of
+    its matrix: row i weighs cell 0, which lies -i cells ahead of it (mod
+    N_X). Neighbours that coincide (N_X <= 2) come out summed.
+    """
+    n = grid.N_X
+    unit = np.zeros(n)
+    unit[0] = 1.0
+    column = stencil(unit, replace(grid, d=1))
+    row = [(-int(i) % n, column[i]) for i in np.flatnonzero(column)]
+    return sorted(row, key=lambda entry: entry[0] - n * (2 * entry[0] > n))
+
+
+def constraint_matrix(grid: GridSpec) -> csr_array:
+    """A = (A_t, A_x, A_R) as one CSR matrix, written into its final arrays.
+
+    Columns follow a Q_D potential in C order; rows follow the flat buffer
+    of SigmaVars. Every row of a block holds one entry per stencil term,
+    so a row of A_t names its diagonal d + 1 times; products sum such
+    entries.
+    """
+    S = int(np.prod(grid.space_shape))
+    cells = np.arange(S).reshape(grid.space_shape)
+    lap, cen, fwd = (_stencil_row(f, grid) for f in
+                     (discrete_laplacian, centered_diff, forward_diff))
+    # blocks of rows: (first column of each group of S rows, the (time step,
+    # axis, offset, weight) of each entry of a row). The time quotient's two
+    # entries come last and next to each other, so a constant potential
+    # maps to exactly zero.
+    slices, axes = np.arange(grid.N_T) * S, range(grid.d)
+    time_terms = [(0, k, o, -grid.eps * w) for k in axes for o, w in lap]
+    time_terms += [(0, 0, 0, -1.0 / grid.dt), (1, 0, 0, 1.0 / grid.dt)]
+    blocks = [(slices, time_terms)]
+    blocks += [(slices, [(0, k, o, w) for o, w in cen]) for k in axes]
+    blocks += [(np.zeros(1, int), [(0, k, o, w / grid.dx) for o, w in fwd]) for k in axes]
+
+    n_rows = sum(len(lead) * S for lead, _ in blocks)
+    nnz = sum(len(lead) * S * len(terms) for lead, terms in blocks)
+    index = np.int32 if max(nnz, (grid.N_T + 1) * S) < 2 ** 31 else np.int64
+    indptr = np.zeros(n_rows + 1, index)
+    indices = np.empty(nnz, index)
+    data = np.empty(nnz)
+    row = pos = 0
+    for lead, row_terms in blocks:
+        count, width = len(lead) * S, len(row_terms)
+        cols = indices[pos:pos + count * width].reshape(len(lead), S, width)
+        vals = data[pos:pos + count * width].reshape(count, width)
+        for t, (step, k, o, weight) in enumerate(row_terms):
+            # the cell o steps ahead along axis k, in the slice step ahead
+            ahead = np.roll(cells, -o, axis=k).ravel()
+            np.add((lead + step * S)[:, None], ahead, out=cols[:, :, t])
+            vals[:, t] = weight
+        ends = indptr[row + 1:row + count + 1]
+        np.multiply(np.arange(1, count + 1, dtype=index), width, out=ends)
+        ends += pos
+        row, pos = row + count, pos + count * width
+    return csr_array((data, indices, indptr), shape=(n_rows, (grid.N_T + 1) * S))
 
 
 class ConstraintOperator:
     """The concatenated linear operator A = (A_t, A_x, A_R) and its adjoint.
 
-    Both directions are built from the grid stencils and write into an
-    optional ``out=`` of the result's type, which must not share memory
-    with the input. They share two Q'_D scratch arrays owned by the
-    operator, so one operator must not be applied from two threads at once.
+    A is one CSR matrix, ``matrix``, assembled once; its arrays, read as
+    compressed columns, are those of A^T, so the adjoint is exact by
+    construction. Both directions write into an optional ``out=`` of the
+    result's type, which must not share memory with the input; an out
+    potential must be C-contiguous.
+
+    The products call the kernels of ``A @ x`` and ``A.T @ y`` in
+    scipy.sparse directly and write into out: the public product allocates
+    its result, and its dispatch took about 20 us a call at N = 64.
     """
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
-        self.eps = grid.eps
-        self._scratch = np.empty((2, grid.N_T) + grid.space_shape)
+        self.matrix = constraint_matrix(grid)
 
     def apply(self, phi: np.ndarray, out: SigmaVars | None = None) -> SigmaVars:
-        g = self.grid
+        g, A = self.grid, self.matrix
         if phi.shape != (g.N_T + 1,) + g.space_shape:
             raise ValueError("apply expects a Q_D potential")
         if out is None:
             out = SigmaVars.zeros(g)
-        lap = self._scratch[0]
-        old = phi[:-1]
-        # sigma_t = (phi^{i+1} - phi^i)/dt - eps lap phi^i; sigma_t is the
-        # Laplacian's scratch before it takes its own value
-        discrete_laplacian(old, g, out=lap, work=out.sigma_t)
-        lap *= self.eps
-        np.subtract(phi[1:], old, out=out.sigma_t)
-        out.sigma_t /= g.dt
-        out.sigma_t -= lap
-        centered_gradient(old, g, out=out.sigma_x, work=lap)
-        for k in range(g.d):
-            forward_diff(phi[0], g, k, out=out.sigma_r[k])
-        out.sigma_r /= g.dx
+        out.flat.fill(0.0)  # the kernel adds A phi to out
+        csr_matvec(*A.shape, A.indptr, A.indices, A.data, phi.ravel(), out.flat)
         return out
 
-    def apply_transpose(self, lam: PrimalVars, out: np.ndarray | None = None) -> np.ndarray:
-        g = self.grid
-        rho, m, eta = lam.lambda_rho, lam.lambda_m, lam.lambda_eta
+    def apply_transpose(self, lam: PrimalVars | SigmaVars,
+                        out: np.ndarray | None = None) -> np.ndarray:
+        g, A = self.grid, self.matrix
         if out is None:
             out = np.empty((g.N_T + 1,) + g.space_shape)
-        rate, term = self._scratch
-        # A_t^T: the adjoint of the time quotient plus the (self-adjoint)
-        # viscosity term acting on the old slice, accumulated from zero
-        np.divide(rho, g.dt, out=rate)
-        discrete_laplacian(rho, g, out=term, work=out[:-1])
-        term *= self.eps
-        term += rate
-        np.subtract(0.0, term, out=out[:-1])
-        out[-1] = 0.0
-        out[1:] += rate
-        # A_x^T: the centered gradient is skew-adjoint per component
-        for k in range(g.d):
-            out[:-1] -= centered_diff(m[k], g, k, out=term, work=rate)
-        # A_R^T: adjoint of the forward quotient on the initial slice
-        for k in range(g.d):
-            edge = backward_diff(eta[k], g, k, out=term[0])
-            edge /= g.dx
-            out[0] -= edge
+        if not out.flags.c_contiguous:
+            raise ValueError("apply_transpose needs a C-contiguous out")
+        out.fill(0.0)
+        csc_matvec(*A.shape[::-1], A.indptr, A.indices, A.data, lam.flat, out.reshape(-1))
         return out
 
 

@@ -1,14 +1,18 @@
-"""Shared fixtures and dense reference constructions.
+"""Shared fixtures and reference constructions of the constraint operator.
 
 The dense matrix here is assembled entry by entry from the index formulas,
 independently of the library's stencil code, so it can serve as an oracle
-for the operator tests.
+for the operator tests in d = 1. In any d, stencil_apply and
+stencil_apply_transpose compose A and its adjoint from the grid stencils,
+slice by slice, as a reference for the library's sparse matrix.
 """
 import numpy as np
 import pytest
 
 from hjot.bench import solve_instance
 from hjot.cost import QuadraticCost
+from hjot.grid import (backward_diff, centered_diff, centered_gradient, discrete_laplacian,
+                       forward_diff)
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +56,33 @@ def dense_constraint_matrix(grid) -> np.ndarray:
         row[idx(0, j)] -= 1.0 / dx
         rows.append(row)
     return np.array(rows)
+
+
+def stencil_apply(grid, phi) -> np.ndarray:
+    """A phi from the stencils, flattened as flatten_sigma orders it."""
+    old = phi[:-1]
+    sigma_t = (phi[1:] - old) / grid.dt - grid.eps * discrete_laplacian(old, grid)
+    sigma_x = centered_gradient(old, grid)
+    sigma_r = np.stack([forward_diff(phi[0], grid, k) for k in range(grid.d)]) / grid.dx
+    return np.concatenate([sigma_t.ravel(), sigma_x.ravel(), sigma_r.ravel()])
+
+
+def stencil_apply_transpose(grid, lam) -> np.ndarray:
+    """A^T lam from the adjoints of the stencils, as a Q_D field."""
+    rho, m, eta = lam.lambda_rho, lam.lambda_m, lam.lambda_eta
+    rate = rho / grid.dt
+    out = np.zeros((grid.N_T + 1,) + grid.space_shape)
+    # A_t^T: the adjoint of the time quotient plus the (self-adjoint)
+    # viscosity term acting on the old slice
+    out[:-1] -= rate + grid.eps * discrete_laplacian(rho, grid)
+    out[1:] += rate
+    # A_x^T: the centered gradient is skew-adjoint per component
+    for k in range(grid.d):
+        out[:-1] -= centered_diff(m[k], grid, k)
+    # A_R^T: adjoint of the forward quotient on the initial slice
+    for k in range(grid.d):
+        out[0] -= backward_diff(eta[k], grid, k) / grid.dx
+    return out
 
 
 def flatten_sigma(sig) -> np.ndarray:

@@ -210,15 +210,14 @@ def test_lambda_update_arithmetic(quad):
                       rng.standard_normal((1, g.N_T, g.N_X)),
                       rng.standard_normal((1, g.N_X)))
     lam = PrimalVars.zeros(g)
-    out = lambda_update(lam, a_phi, a_phi, 2.0)
-    assert np.max(np.abs(out.lambda_rho)) == 0.0  # A Phi = Sigma fixes Lambda
-    zero_sig = SigmaVars(np.zeros_like(a_phi.sigma_t),
-                         np.zeros_like(a_phi.sigma_x),
-                         np.zeros_like(a_phi.sigma_r))
-    out = lambda_update(lam, a_phi, zero_sig, 2.0)
+    assert lambda_update(lam, SigmaVars.zeros(g), 2.0) is lam
+    assert np.max(np.abs(lam.lambda_rho)) == 0.0  # A Phi = Sigma fixes Lambda
+    residual = SigmaVars(*a_phi.parts())  # A Phi - Sigma with Sigma = 0
+    out = lambda_update(lam, residual, 2.0)
     assert np.allclose(out.lambda_rho, 2.0 * a_phi.sigma_t, atol=1e-15)
     assert np.allclose(out.lambda_m, 2.0 * a_phi.sigma_x, atol=1e-15)
     assert np.allclose(out.lambda_eta, 2.0 * a_phi.sigma_r, atol=1e-15)
+    assert np.array_equal(residual.flat, 2.0 * a_phi.flat)  # scaled in place
 
 
 def test_identical_marginals_solve_trivially(quad):

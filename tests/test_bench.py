@@ -130,10 +130,12 @@ def synthetic_report():
     records = [
         ErrorRecord(N=16, h=1 / 16, K_D=0.021, eps_K=1.8e-2, eps_phi=None,
                     eps_v=1.2e-2, eps_rho=0.12, iters=1000, wall_time=0.5,
-                    converged=True, duality_gap=2e-8),
+                    converged=True, duality_gap=2e-8, stop_reason="converged",
+                    r_final=0.015625),
         ErrorRecord(N=32, h=1 / 32, K_D=0.011, eps_K=7.9e-3, eps_phi=3e-3,
                     eps_v=4.2e-3, eps_rho=0.047, iters=3800, wall_time=2.0,
-                    converged=False, duality_gap=7e-8),
+                    converged=False, duality_gap=7e-8, stop_reason="max_iters",
+                    r_final=0.5),
     ]
     return ConvergenceReport(
         case_id=2, w=0.2, records=records, alpha_K=1.18, alpha_phi=None,
@@ -145,7 +147,8 @@ def test_records_to_csv_format():
     text = records_to_csv(synthetic_report())
     lines = text.splitlines()
     assert lines[0] == "# case=2 w=0.20000000000000001"
-    assert lines[1] == "N,h,K_D,eps_K,eps_phi,eps_v,eps_rho,iters,wall_time,converged,duality_gap"
+    assert lines[1] == ("N,h,K_D,eps_K,eps_phi,eps_v,eps_rho,iters,wall_time,converged,"
+                        "duality_gap,stop_reason,r_final")
     assert len(lines) == 4
     row16 = lines[2].split(",")
     assert row16[0] == "16"
@@ -154,6 +157,7 @@ def test_records_to_csv_format():
     row32 = lines[3].split(",")
     assert float(row32[3]) == pytest.approx(7.9e-3)
     assert row32[9] == "0"
+    assert row32[11:] == ["max_iters", "0.5"]
     # serialization is deterministic
     assert records_to_csv(synthetic_report()) == text
 

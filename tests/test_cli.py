@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -282,6 +284,22 @@ def test_sweep_two_resolutions(tmp_path, capsys):
     assert "alpha_K" in stdout and "reference" in stdout
 
 
+@pytest.mark.filterwarnings("ignore:ADMM did not converge", "ignore:.*excluded from fits",
+                            "ignore:fewer than 3 usable resolutions")
+def test_sweep_records_carry_stop_reason_and_r_final(tmp_path):
+    out = tmp_path / "capped"
+    assert main(["sweep", "--case", "1", "--n", "8,16", "--max-iters", "1",
+                 "--out", str(out)]) == 2
+    records = json.loads((out / "report.json").read_text())["records"]
+    assert [r["stop_reason"] for r in records] == ["max_iters", "max_iters"]
+    assert all(r["r_final"] > 0 for r in records)
+    head, *rows = (out / "records.csv").read_text().splitlines()[1:]
+    cols = head.split(",")
+    assert [row.split(",")[cols.index("stop_reason")] for row in rows] == ["max_iters"] * 2
+    assert [float(row.split(",")[cols.index("r_final")]) for row in rows] \
+        == [r["r_final"] for r in records]
+
+
 def test_sweep_needs_two_resolutions(tmp_path):
     assert main(["sweep", "--case", "1", "--n", "16",
                  "--out", str(tmp_path / "o")]) == 3
@@ -335,10 +353,19 @@ def test_hj_ivp_errors_decrease(tmp_path, capsys):
     assert len(csv) == 3
 
 
-def test_hj_ivp_artifacts_are_standard_json(tmp_path, capsys):
-    # a slope clamp far below the data's slopes makes the error blow up
-    out = tmp_path / "ivp"
-    assert main(["hj-ivp", "--n", "32,64", "--clamp-R", "0.01", "--out", str(out)]) == 0
+@pytest.fixture(scope="module")
+def diverged_ivp(tmp_path_factory):
+    """(exit code, --out, stderr) of an hj-ivp run whose error blows up: a
+    slope clamp far below the data's slopes."""
+    out = tmp_path_factory.mktemp("ivp") / "ivp"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["hj-ivp", "--n", "32,64", "--clamp-R", "0.01", "--out", str(out)])
+    return code, out, err.getvalue()
+
+
+def test_hj_ivp_artifacts_are_standard_json(diverged_ivp):
+    _, out, _ = diverged_ivp
 
     def reject(constant):
         raise ValueError(f"{constant} is not standard JSON")
@@ -346,6 +373,16 @@ def test_hj_ivp_artifacts_are_standard_json(tmp_path, capsys):
     payload = json.loads((out / "ivp.json").read_text(), parse_constant=reject)
     assert payload["envelope_C"] == "inf" and payload["fitted_order"] == "nan"
     json.loads((out / "config_resolved.json").read_text(), parse_constant=reject)
+
+
+def test_hj_ivp_exits_4_on_a_non_finite_error(diverged_ivp):
+    # the diverged run still writes its artifacts, then fails like a property check
+    code, out, err = diverged_ivp
+    assert code == 4
+    rows = json.loads((out / "ivp.json").read_text())["rows"]
+    assert [r["sup_error"] == "inf" for r in rows] == [False, True]
+    assert len((out / "ivp.csv").read_text().splitlines()) == 3
+    assert "not finite" in err
 
 
 @pytest.mark.skipif(shutil.which("hjot") is None,

@@ -15,7 +15,8 @@ from hjot.transport import (
     recover_velocity,
     support_threshold,
 )
-from tests.conftest import dense_constraint_matrix, flatten_primal, flatten_sigma
+from tests.conftest import (dense_constraint_matrix, flatten_primal, flatten_sigma, stencil_apply,
+                            stencil_apply_transpose)
 
 
 @pytest.fixture
@@ -50,31 +51,53 @@ def test_apply_validates_shape(tiny_problem):
         tiny_problem.operator.apply(np.zeros((g.N_T,) + g.space_shape))
 
 
-def test_operator_matches_dense_matrix(quad):
-    # independent dense construction of A at N_X=4, N_T=2
-    g = GridSpec(d=1, D=1.0, N_T=2, N_X=4, eps=0.05, R=0.5)
+# N_X <= 2 puts both periodic neighbours of a cell on one cell, whose
+# entries must then add up; d = 1 is checked against the dense index
+# formulas, d = 2 against the stencils composed slice by slice
+OPERATOR_GRIDS = pytest.mark.parametrize(
+    "d, n_t, n_x", [(d, n_t, n_x) for d in (1, 2) for n_t in (1, 2) for n_x in (1, 2, 3, 4, 7)])
+
+
+@OPERATOR_GRIDS
+def test_operator_matches_dense_matrix(d, n_t, n_x):
+    g = GridSpec(d=d, D=1.0, N_T=n_t, N_X=n_x, eps=0.05, R=0.5)
     op = ConstraintOperator(g)
-    A = dense_constraint_matrix(g)
+    A = dense_constraint_matrix(g) if d == 1 else None
     rng = np.random.default_rng(17)
     for _ in range(20):
-        phi = rng.standard_normal((g.N_T + 1, g.N_X))
-        sig = op.apply(phi)
-        assert np.max(np.abs(A @ phi.ravel() - flatten_sigma(sig))) <= 1e-12
+        phi = rng.standard_normal((g.N_T + 1,) + g.space_shape)
+        ref = A @ phi.ravel() if d == 1 else stencil_apply(g, phi)
+        assert np.max(np.abs(ref - flatten_sigma(op.apply(phi)))) <= 1e-12
 
 
-def test_transpose_matches_dense_matrix(quad):
-    g = GridSpec(d=1, D=1.0, N_T=2, N_X=4, eps=0.05, R=0.5)
+@OPERATOR_GRIDS
+def test_transpose_matches_dense_matrix(d, n_t, n_x):
+    g = GridSpec(d=d, D=1.0, N_T=n_t, N_X=n_x, eps=0.05, R=0.5)
     op = ConstraintOperator(g)
-    A = dense_constraint_matrix(g)
+    A = dense_constraint_matrix(g) if d == 1 else None
     rng = np.random.default_rng(18)
     for _ in range(20):
         lam = PrimalVars(
-            lambda_rho=rng.standard_normal((g.N_T, g.N_X)),
-            lambda_m=rng.standard_normal((1, g.N_T, g.N_X)),
-            lambda_eta=rng.standard_normal((1, g.N_X)),
+            lambda_rho=rng.standard_normal((g.N_T,) + g.space_shape),
+            lambda_m=rng.standard_normal((d, g.N_T) + g.space_shape),
+            lambda_eta=rng.standard_normal((d,) + g.space_shape),
         )
-        out = op.apply_transpose(lam)
-        assert np.max(np.abs(A.T @ flatten_primal(lam) - out.ravel())) <= 1e-12
+        ref = A.T @ flatten_primal(lam) if d == 1 else stencil_apply_transpose(g, lam).ravel()
+        assert np.max(np.abs(ref - op.apply_transpose(lam).ravel())) <= 1e-12
+
+
+def test_products_are_the_sparse_matrix_products():
+    # apply and apply_transpose call the kernels of A @ x and A.T @ y
+    g = GridSpec(d=2, D=1.0, N_T=3, N_X=5, eps=0.05, R=0.5)
+    op = ConstraintOperator(g)
+    rng = np.random.default_rng(19)
+    phi = rng.standard_normal((g.N_T + 1,) + g.space_shape)
+    lam = PrimalVars(rng.standard_normal((g.N_T,) + g.space_shape),
+                     rng.standard_normal((g.d, g.N_T) + g.space_shape),
+                     rng.standard_normal((g.d,) + g.space_shape))
+    assert np.array_equal(op.apply(phi).flat, op.matrix @ phi.ravel())
+    assert np.array_equal(op.apply_transpose(lam).ravel(), op.matrix.T @ lam.flat)
+    assert op.matrix.indices.dtype == op.matrix.indptr.dtype == np.int32
 
 
 @pytest.mark.parametrize("n_x", [3, 4, 8])
