@@ -154,14 +154,15 @@ class SpectralPhiSolver:
         # their mean is the mean of Phi times the number of cells in space
         self._dc = spec.real[:, 0]
 
-    def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Solve A^T A Phi = b for a Q_D field b; the solution has mean zero.
 
         The real and imaginary parts of all frequency blocks go through one
         LAPACK pttrs call. The mean is anchored on the zero-frequency
-        coefficients, before the inverse FFT. out (it may be b itself) is
-        allocated when None. b must be finite: pttrs does not check, and
-        non-finite input gives a non-finite result.
+        coefficients, before the inverse FFT. The solution is written into
+        out, a Q_D array (it may be b itself), which is returned. b must be
+        finite: pttrs does not check, and non-finite input gives a
+        non-finite result.
         """
         np.fft.rfftn(b, axes=self.axes, out=self._spec)
         for part, col in self._parts:
@@ -178,15 +179,14 @@ class SpectralPhiSolver:
 
 
 def phi_update(solver, problem: TransportProblem, sigma: SigmaVars,
-               lam: PrimalVars, r: float, out: np.ndarray | None = None,
-               work: PrimalVars | SigmaVars | None = None) -> np.ndarray:
+               lam: PrimalVars, r: float, out: np.ndarray,
+               work: PrimalVars | SigmaVars) -> np.ndarray:
     """Solve r A^T A Phi = F_D - A^T Lambda + r A^T Sigma, mean-anchored.
 
-    out (a Q_D array, which also holds the right-hand side) and work
-    (scratch for Lambda - r Sigma) are allocated when None.
+    The solution goes into out, a C-contiguous Q_D array that also holds
+    the right-hand side; work, a row vector of A, is scratch for
+    Lambda - r Sigma. out is returned.
     """
-    if work is None:
-        work = PrimalVars.zeros(problem.grid)
     np.multiply(r, sigma.flat, out=work.flat)
     np.subtract(lam.flat, work.flat, out=work.flat)
     rhs = problem.operator.apply_transpose(work, out=out)
@@ -196,13 +196,11 @@ def phi_update(solver, problem: TransportProblem, sigma: SigmaVars,
 
 
 def sigma_update(problem: TransportProblem, a_phi: SigmaVars, lam: PrimalVars,
-                 r: float, out: SigmaVars | None = None) -> SigmaVars:
-    """Project A Phi + Lambda/r onto the constraint set.
+                 r: float, out: SigmaVars) -> SigmaVars:
+    """Project A Phi + Lambda/r onto the constraint set, into out.
 
-    out must not share memory with a_phi or lam; it is allocated when None.
+    out must not share memory with a_phi or lam; it is returned.
     """
-    if out is None:
-        out = SigmaVars.zeros(problem.grid)
     np.divide(lam.flat, r, out=out.flat)
     np.add(a_phi.flat, out.flat, out=out.flat)
     problem.cost.project_onto_K(out.sigma_t, out.sigma_x, out=(out.sigma_t, out.sigma_x))
@@ -247,11 +245,11 @@ def solve(problem: TransportProblem,
 
     phi = np.zeros((g.N_T + 1,) + g.space_shape)
     lam = PrimalVars.zeros(g)
-    a_phi, sigma_next = SigmaVars.zeros(g), SigmaVars.zeros(g)
+    a_phi, sigma, sigma_next = (SigmaVars.zeros(g) for _ in range(3))
     # A^T(Sigma_k - Sigma_{k-1}) goes into the head of A Phi's buffer, which
     # holds nothing the iteration reads once the multipliers are updated
     a_t_delta = a_phi.flat[:phi.size].reshape(phi.shape)
-    sigma = sigma_update(problem, A.apply(phi, out=a_phi), lam, r)
+    sigma_update(problem, A.apply(phi, out=a_phi), lam, r, out=sigma)
     solver = SpectralPhiSolver(g)
 
     primal_res, dual_res = [], []

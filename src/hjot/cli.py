@@ -119,9 +119,11 @@ def resolve_config(ns: argparse.Namespace) -> dict:
 
 
 def _integer(key: str, value) -> int:
-    """The int that value stands for; a value int() would truncate is rejected."""
+    """The int that value stands for; a bool, or a value int() would
+    truncate, is rejected."""
+    whole = value.is_integer() if isinstance(value, float) else not isinstance(value, bool)
     try:
-        if not isinstance(value, float) or value.is_integer():
+        if whole:
             return int(value)
     except (TypeError, ValueError):
         pass

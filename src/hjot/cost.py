@@ -43,7 +43,9 @@ class CostModel:
         """Lipschitz constant of H on the ball of radius r."""
         raise NotImplementedError
 
-    def project_onto_K(self, a, b, out=None):
+    def project_onto_K(self, a, b, out):
+        """Projection of (a, b) onto {s + H(w) <= 0}, an ADMM loop kernel: it
+        writes into out, a pair (s, w) of float arrays the caller passes."""
         raise NotImplementedError
 
 
@@ -67,7 +69,7 @@ class QuadraticCost(CostModel):
     def lip_H(self, r):
         return float(r)
 
-    def project_onto_K(self, a, b, out=None):
+    def project_onto_K(self, a, b, out):
         """Euclidean projection of (a, b) onto {(s, w): s + |w|^2/2 <= 0}.
 
         Feasible points are returned unchanged. For the rest the KKT system
@@ -88,12 +90,11 @@ class QuadraticCost(CostModel):
         the same, so one model must not project from two threads at once.
 
         a has any shape, b has a leading component axis over the same shape.
-        out, when given, is a pair (s, w) of arrays shaped like a and b; it
-        may be (a, b) itself for an in-place projection.
+        The result goes into out, a pair (s, w) of float arrays shaped like a
+        and b, which is returned; it may be (a, b) itself for an in-place
+        projection.
         """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        s, w = (np.empty_like(a), np.empty_like(b)) if out is None else out
+        s, w = out
         a_pad, half_b2, lam, opl, opl2, tmp, g, mask = self._arrays(a.shape)
         np.multiply(b[0], b[0], out=half_b2)
         for k in range(1, b.shape[0]):
@@ -224,7 +225,7 @@ class PowerCost(CostModel):
     def lip_H(self, r):
         return float(r) ** (self.q - 1.0)
 
-    def project_onto_K(self, a, b, out=None):
+    def project_onto_K(self, a, b, out):
         raise NotImplementedError(
             "projection onto {s + H(w) <= 0} is only implemented for the "
             "quadratic cost; the saddle-point solver supports quadratic runs only")

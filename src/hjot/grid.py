@@ -15,15 +15,14 @@ leading time/batch axes. Index arithmetic is modulo N_X (periodic): a
 difference is one pass over slices of the input plus one pass over the
 wrap slab, whose neighbours lie across the period. No input is copied.
 
-Every stencil takes an optional ``out=`` array of the result's shape and
-returns it; without one it allocates the result. The compound stencils
-also take ``work=``, a scratch array of the input's shape that they
-overwrite. Neither may share memory with the input. The arithmetic is
-that of the defining formulas, operation by operation, so results do not
-depend on whether buffers are passed.
+Every stencil allocates its result, which shares no memory with the
+input. The arithmetic is that of the defining formulas, operation by
+operation. (The ADMM iteration does not call the stencils: its operator
+is one sparse matrix assembled from them once, in transport.py.)
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +52,9 @@ class GridSpec:
     R: float
 
     def __post_init__(self) -> None:
+        for name in ("D", "R", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.d < 1 or self.N_T < 1 or self.N_X < 1:
             raise ValueError("d, N_T, N_X must be positive")
         if self.D <= 0:
@@ -156,65 +158,58 @@ def _neighbour_op(op, psi: np.ndarray, ax: int, out: np.ndarray, forward: bool) 
     return out
 
 
-def _buffer(out: np.ndarray | None, shape: tuple, like: np.ndarray) -> np.ndarray:
-    return np.empty(shape, np.result_type(like, 1.0)) if out is None else out
+def _empty(shape: tuple, like: np.ndarray) -> np.ndarray:
+    return np.empty(shape, np.result_type(like, 1.0))
 
 
-def forward_diff(psi: np.ndarray, grid: GridSpec, k: int = 0,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def forward_diff(psi: np.ndarray, grid: GridSpec, k: int = 0) -> np.ndarray:
     """Forward difference along spatial axis k: psi(j+1) - psi(j), periodic."""
     ax = _check_axis(grid, k)
-    return _neighbour_op(np.subtract, psi, ax, _buffer(out, psi.shape, psi), True)
+    return _neighbour_op(np.subtract, psi, ax, _empty(psi.shape, psi), True)
 
 
-def backward_diff(psi: np.ndarray, grid: GridSpec, k: int = 0,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def backward_diff(psi: np.ndarray, grid: GridSpec, k: int = 0) -> np.ndarray:
     """Backward difference along spatial axis k: psi(j) - psi(j-1), periodic."""
     ax = _check_axis(grid, k)
-    return _neighbour_op(np.subtract, psi, ax, _buffer(out, psi.shape, psi), False)
+    return _neighbour_op(np.subtract, psi, ax, _empty(psi.shape, psi), False)
 
 
-def centered_diff(psi: np.ndarray, grid: GridSpec, k: int = 0,
-                  out: np.ndarray | None = None,
-                  work: np.ndarray | None = None) -> np.ndarray:
-    """Centered difference quotient along axis k: (backward + forward)/(2 dx).
-
-    The backward difference at j is the forward difference at j-1 (the
-    same subtraction), so one forward difference, held in work, gives both.
-    """
-    fwd = forward_diff(psi, grid, k, out=_buffer(work, psi.shape, psi))
-    out = _neighbour_op(np.add, fwd, k - grid.d, _buffer(out, psi.shape, psi), False)
+def _centered(psi: np.ndarray, grid: GridSpec, k: int, out: np.ndarray,
+              work: np.ndarray) -> np.ndarray:
+    """(backward + forward)/(2 dx) along axis k into out. The backward difference
+    at j is the forward one at j-1, so one forward difference, in work, gives both."""
+    ax = _check_axis(grid, k)
+    _neighbour_op(np.add, _neighbour_op(np.subtract, psi, ax, work, True), ax, out, False)
     out /= 2.0 * grid.dx
     return out
 
 
-def centered_gradient(psi: np.ndarray, grid: GridSpec, out: np.ndarray | None = None,
-                      work: np.ndarray | None = None) -> np.ndarray:
-    """Centered gradient (backward + forward)/(2 dx), one component per axis.
+def centered_diff(psi: np.ndarray, grid: GridSpec, k: int = 0) -> np.ndarray:
+    """Centered difference quotient along axis k: (backward + forward)/(2 dx)."""
+    return _centered(psi, grid, k, _empty(psi.shape, psi), _empty(psi.shape, psi))
 
-    Output has a new leading axis of length d.
-    """
-    out = _buffer(out, (grid.d,) + psi.shape, psi)
-    work = _buffer(work, psi.shape, psi)
+
+def centered_gradient(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Centered gradient (backward + forward)/(2 dx), one component per axis
+    on a new leading axis of length d."""
+    out = _empty((grid.d,) + psi.shape, psi)
+    work = _empty(psi.shape, psi)
     for k in range(grid.d):
-        centered_diff(psi, grid, k, out=out[k], work=work)
+        _centered(psi, grid, k, out[k], work)
     return out
 
 
-def discrete_laplacian(psi: np.ndarray, grid: GridSpec, out: np.ndarray | None = None,
-                       work: np.ndarray | None = None) -> np.ndarray:
-    """Discrete Laplacian sum_k (forward - backward)/dx^2.
-
-    forward - backward along axis k is the backward difference of the
-    forward difference (held in work). For d >= 2 each axis after the
-    first allocates its term.
-    """
-    out = _buffer(out, psi.shape, psi)
-    work = _buffer(work, psi.shape, psi)
+def discrete_laplacian(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Discrete Laplacian sum_k (forward - backward)/dx^2: along axis k, the
+    backward difference of the forward difference. For d >= 2 each axis after
+    the first allocates its term."""
+    out = _empty(psi.shape, psi)
+    work = _empty(psi.shape, psi)
     for k in range(grid.d):
-        fwd = forward_diff(psi, grid, k, out=work)
+        ax = _check_axis(grid, k)
+        fwd = _neighbour_op(np.subtract, psi, ax, work, True)
         if k == 0:
-            backward_diff(fwd, grid, k, out=out)
+            _neighbour_op(np.subtract, fwd, ax, out, False)
             # the sum starts from +0.0, which turns a -0.0 term into +0.0
             out += 0.0
         else:

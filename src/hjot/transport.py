@@ -37,7 +37,8 @@ class _RowVector:
 
     Construction copies the given arrays into a new buffer and rebinds each
     field to its view, so whole-vector steps are one ufunc on ``flat``. A
-    field rebound later to another array no longer shares ``flat``.
+    field rebound later to another array no longer shares ``flat``. Two row
+    vectors compare equal only when they are the same object.
     """
 
     def __post_init__(self) -> None:
@@ -58,7 +59,7 @@ class _RowVector:
                    np.zeros((grid.d,) + sp))
 
 
-@dataclass
+@dataclass(eq=False)
 class SigmaVars(_RowVector):
     """Split variables mirroring (A_t Phi, A_x Phi, A_R Phi).
 
@@ -71,7 +72,7 @@ class SigmaVars(_RowVector):
     sigma_r: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class PrimalVars(_RowVector):
     """Multipliers (mass, momentum, clamp) of the primal problem.
 
@@ -153,9 +154,11 @@ class ConstraintOperator:
 
     A is one CSR matrix, ``matrix``, assembled once; its arrays, read as
     compressed columns, are those of A^T, so the adjoint is exact by
-    construction. Both directions write into an optional ``out=`` of the
-    result's type, which must not share memory with the input; an out
-    potential must be C-contiguous.
+    construction. apply and apply_transpose are kernels of the ADMM
+    iteration: each writes into ``out``, a buffer of the result's type
+    that the caller passes and that must not share memory with the input
+    (an out potential must be C-contiguous), and returns it. Elsewhere
+    ``matrix @ x`` gives the same product in a new array.
 
     The products call the kernels of ``A @ x`` and ``A.T @ y`` in
     scipy.sparse directly and write into out: the public product allocates
@@ -166,21 +169,16 @@ class ConstraintOperator:
         self.grid = grid
         self.matrix = constraint_matrix(grid)
 
-    def apply(self, phi: np.ndarray, out: SigmaVars | None = None) -> SigmaVars:
+    def apply(self, phi: np.ndarray, out: SigmaVars) -> SigmaVars:
         g, A = self.grid, self.matrix
         if phi.shape != (g.N_T + 1,) + g.space_shape:
             raise ValueError("apply expects a Q_D potential")
-        if out is None:
-            out = SigmaVars.zeros(g)
         out.flat.fill(0.0)  # the kernel adds A phi to out
         csr_matvec(*A.shape, A.indptr, A.indices, A.data, phi.ravel(), out.flat)
         return out
 
-    def apply_transpose(self, lam: PrimalVars | SigmaVars,
-                        out: np.ndarray | None = None) -> np.ndarray:
-        g, A = self.grid, self.matrix
-        if out is None:
-            out = np.empty((g.N_T + 1,) + g.space_shape)
+    def apply_transpose(self, lam: PrimalVars | SigmaVars, out: np.ndarray) -> np.ndarray:
+        A = self.matrix
         if not out.flags.c_contiguous:
             raise ValueError("apply_transpose needs a C-contiguous out")
         out.fill(0.0)

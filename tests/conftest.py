@@ -5,6 +5,10 @@ independently of the library's stencil code, so it can serve as an oracle
 for the operator tests in d = 1. In any d, stencil_apply and
 stencil_apply_transpose compose A and its adjoint from the grid stencils,
 slice by slice, as a reference for the library's sparse matrix.
+
+The ADMM loop kernels (ConstraintOperator.apply and apply_transpose, and
+project_onto_K) write into buffers their caller passes; apply,
+apply_transpose and project call them with new ones.
 """
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hjot.bench import solve_instance
 from hjot.cost import QuadraticCost
 from hjot.grid import (backward_diff, centered_diff, centered_gradient, discrete_laplacian,
                        forward_diff)
+from hjot.transport import SigmaVars
 
 
 @pytest.fixture(scope="session")
@@ -83,6 +88,21 @@ def stencil_apply_transpose(grid, lam) -> np.ndarray:
     for k in range(grid.d):
         out[0] -= backward_diff(eta[k], grid, k) / grid.dx
     return out
+
+
+def apply(op, phi) -> SigmaVars:
+    """A phi by ConstraintOperator.apply, into a new SigmaVars."""
+    return op.apply(phi, out=SigmaVars.zeros(op.grid))
+
+
+def apply_transpose(op, lam) -> np.ndarray:
+    """A^T lam by ConstraintOperator.apply_transpose, into a new Q_D array."""
+    return op.apply_transpose(lam, out=np.empty((op.grid.N_T + 1,) + op.grid.space_shape))
+
+
+def project(cost, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """cost.project_onto_K(a, b) into new float arrays shaped like a and b."""
+    return cost.project_onto_K(a, b, out=(np.empty(np.shape(a)), np.empty(np.shape(b))))
 
 
 def flatten_sigma(sig) -> np.ndarray:

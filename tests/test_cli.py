@@ -180,7 +180,7 @@ def test_config_file_rejections(tmp_path, capsys):
 @pytest.mark.parametrize("command,key,value", [
     ("solve", "case", 2.7), ("solve", "max_iters", 3.9),
     ("verify-scheme", "trials", 10.5), ("verify-scheme", "seed", 0.5),
-    ("hj-ivp", "n", [8, 16.5]),
+    ("hj-ivp", "n", [8, 16.5]), ("solve", "case", True), ("hj-ivp", "n", [True, 16]),
 ])
 def test_config_file_rejects_non_integral_integer_keys(tmp_path, capsys, command, key, value):
     out = tmp_path / "o"
@@ -259,8 +259,11 @@ def test_config_resolved_has_no_seed(tmp_path, command):
     (["solve", "--case", "2", "--n", "8", "--stop-tol", "nan"], "must be finite and positive"),
     (["verify-scheme", "--n", "16", "--trials", "0"], "trials must be at least 1"),
     (["verify-scheme", "--n", "16", "--trials", "-5"], "trials must be at least 1"),
+    (["solve", "--case", "2", "--n", "16", "--clamp-R", "nan"], "R must be finite, got nan"),
+    (["verify-scheme", "--n", "16", "--eps", "nan"], "eps must be finite, got nan"),
 ], ids=["solve-case9", "solve-zeta", "sweep-case9", "verify-empty-interval",
-        "solve-stop-tol-nan", "verify-trials0", "verify-trials-neg"])
+        "solve-stop-tol-nan", "verify-trials0", "verify-trials-neg", "solve-clamp-R-nan",
+        "verify-eps-nan"])
 def test_rejected_run_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 3

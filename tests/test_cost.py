@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hjot.cost import ROOT_TOL, PowerCost, QuadraticCost, _cubic_start, make_cost
 from hjot.grid import make_grid
 from hjot.transport import PrimalVars, primal_objective
+from tests.conftest import project
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -46,19 +47,19 @@ def test_quadratic_values(quad):
 
 
 def test_project_feasible_identity(quad):
-    s, w = quad.project_onto_K(np.array(-1.0), np.array([0.0]))
+    s, w = project(quad, np.array(-1.0), np.array([0.0]))
     assert s == -1.0 and w[0] == 0.0
 
 
 def test_project_boundary_point(quad):
-    s, w = quad.project_onto_K(np.array(1.0), np.array([0.0]))
+    s, w = project(quad, np.array(1.0), np.array([0.0]))
     assert s == pytest.approx(0.0, abs=1e-12)
     assert w[0] == 0.0
 
 
 def test_project_kkt_example(quad):
     # (0, 2): lambda solves lam (1+lam)^2 = 2
-    s, w = quad.project_onto_K(np.array(0.0), np.array([2.0]))
+    s, w = project(quad, np.array(0.0), np.array([2.0]))
     lam = -float(s)
     assert lam * (1.0 + lam) ** 2 == pytest.approx(2.0, abs=1e-10)
     assert float(w[0]) == pytest.approx(2.0 / (1.0 + lam), abs=1e-10)
@@ -71,7 +72,7 @@ def test_project_matches_bisection_on_100_points(quad):
     for _ in range(100):
         a = rng.uniform(-2.0, 2.0)
         b = rng.uniform(-2.0, 2.0, size=1)
-        s, w = quad.project_onto_K(np.array(a), b.reshape(1, 1)[:, 0])
+        s, w = project(quad, np.array(a), b.reshape(1, 1)[:, 0])
         s_ref, w_ref = project_oracle(a, b)
         assert abs(float(s) - s_ref) <= 1e-10
         assert np.max(np.abs(np.asarray(w, dtype=float).ravel() - w_ref)) <= 1e-10
@@ -81,7 +82,7 @@ def test_project_vectorized_matches_scalar(quad):
     rng = np.random.default_rng(8)
     a = rng.uniform(-2.0, 2.0, size=(5, 6))
     b = rng.uniform(-2.0, 2.0, size=(1, 5, 6))
-    s, w = quad.project_onto_K(a, b)
+    s, w = project(quad, a, b)
     for i in range(5):
         for j in range(6):
             s_ref, w_ref = project_oracle(a[i, j], b[:, i, j])
@@ -104,7 +105,7 @@ def test_project_extreme_inputs_match_bisection(quad):
     pts = EXTREME_POINTS
     a = np.array([p[0] for p in pts])
     b = np.array([[p[1] for p in pts]])
-    s, w = quad.project_onto_K(a, b)
+    s, w = project(quad, a, b)
     for i, (ai, bi) in enumerate(pts):
         s_ref, w_ref = project_oracle(ai, np.array([bi]))
         assert abs(s[i] - s_ref) <= ROOT_TOL, (ai, bi)
@@ -113,7 +114,7 @@ def test_project_extreme_inputs_match_bisection(quad):
     # reach ROOT_TOL there, and the bisection must accept its answer
     a_big = -0.5e12 * (1.0 - 1e-12)
     for bi in (1e6, -1e6):
-        s, w = quad.project_onto_K(np.array(a_big), np.array([bi]))
+        s, w = project(quad, np.array(a_big), np.array([bi]))
         s_ref, w_ref = project_oracle(a_big, np.array([bi]))
         assert abs(float(s) - s_ref) <= ROOT_TOL * max(1.0, abs(a_big)), bi
         assert abs(float(w[0]) - w_ref[0]) <= ROOT_TOL * max(1.0, abs(a_big)), bi
@@ -145,11 +146,11 @@ def test_project_warns_nowhere_and_matches_bisection(quad):
     b = np.array([[p[1] for p in pts]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s, w = quad.project_onto_K(a, b)
-        single = [quad.project_onto_K(np.array(ai), np.array([bi])) for ai, bi in pts]
+        s, w = project(quad, a, b)
+        single = [project(quad, np.array(ai), np.array([bi])) for ai, bi in pts]
         # the closed form misses the root lambda = a here, and the bisection
         # returns it exactly, from the bracket [a, a] of b = 0
-        big = quad.project_onto_K(np.array(7e102), np.array([0.0]))
+        big = project(quad, np.array(7e102), np.array([0.0]))
     assert float(big[0]) == 0.0 and float(big[1][0]) == 0.0
     for i, (ai, bi) in enumerate(pts):
         s_ref, w_ref = project_oracle(ai, np.array([bi]))
@@ -164,7 +165,7 @@ def test_project_mixed_arrays_keep_feasible_cells_bitwise(quad):
     b = rng.uniform(-3.0, 3.0, size=(2, 7, 40))
     feasible = a + 0.5 * np.sum(b * b, axis=0) <= 0
     assert 0 < feasible.sum() < feasible.size
-    s, w = quad.project_onto_K(a, b)
+    s, w = project(quad, a, b)
     assert np.array_equal(s[feasible], a[feasible])
     assert np.array_equal(w[:, feasible], b[:, feasible])
     lam = a - s  # the multiplier, which is >= 0
@@ -182,14 +183,14 @@ def extreme_inputs(n: int, seed: int):
 
 def test_projection_of_a_cell_does_not_depend_on_its_neighbours(quad):
     a, b = -4.759470714024043e45, -3.1232381465457116e98
-    alone = quad.project_onto_K(np.array([a]), np.array([[b]]))
-    paired = quad.project_onto_K(np.array([a, 1.2076811402033425e152]),
+    alone = project(quad, np.array([a]), np.array([[b]]))
+    paired = project(quad, np.array([a, 1.2076811402033425e152]),
                                  np.array([[b, -1.39242039459236e56]]))
     assert alone[0][0] == paired[0][0] and alone[1][0, 0] == paired[1][0, 0]
     a, b = extreme_inputs(3000, seed=31)
-    s, w = quad.project_onto_K(a, b[None])
+    s, w = project(quad, a, b[None])
     for i in range(a.size):
-        si, wi = quad.project_onto_K(a[i:i + 1], b[None, i:i + 1])
+        si, wi = project(quad, a[i:i + 1], b[None, i:i + 1])
         assert si[0] == s[i] and wi[0, 0] == w[0, i], (a[i], b[i])
 
 
@@ -202,7 +203,7 @@ def test_cells_the_closed_form_misses_match_the_oracle_bitwise(quad):
         g = (a - lam) + half_b2 / (1.0 + lam) ** 2
     missed = np.flatnonzero((a + half_b2 > 0) & ~(np.abs(g) <= ROOT_TOL))
     assert missed.size > 1000
-    s, w = quad.project_onto_K(a, b[None])
+    s, w = project(quad, a, b[None])
     for i in missed:
         s_ref, w_ref = project_oracle(float(a[i]), b[i:i + 1])
         assert s[i] == s_ref and w[0, i] == w_ref[0], (a[i], b[i])
@@ -213,7 +214,7 @@ def test_bisection_resolves_roots_far_below_its_bracket(quad):
     # lambda = 3.2e17 lies below the resolution of 200 halvings of the
     # bracket [0, 1e80]
     a, b = -1e45, 1.414e40
-    s, w = quad.project_onto_K(np.array(a), np.array([b]))
+    s, w = project(quad, np.array(a), np.array([b]))
     s_ref, w_ref = project_oracle(a, np.array([b]))
     assert abs(float(s) - s_ref) <= 1e-9 * abs(s_ref)
     assert abs(float(w[0]) - w_ref[0]) <= 1e-9 * abs(w_ref[0])
@@ -223,9 +224,9 @@ def test_bisection_resolves_roots_far_below_its_bracket(quad):
 @given(a=finite, b=finite)
 def test_project_idempotent_and_feasible(a, b):
     quad = QuadraticCost()
-    s, w = quad.project_onto_K(np.array(a), np.array([b]))
+    s, w = project(quad, np.array(a), np.array([b]))
     assert float(s) + 0.5 * float(w[0]) ** 2 <= 1e-10
-    s2, w2 = quad.project_onto_K(s, w)
+    s2, w2 = project(quad, s, w)
     assert abs(float(s2) - float(s)) <= 1e-10
     assert abs(float(w2[0]) - float(w[0])) <= 1e-10
 
@@ -234,8 +235,8 @@ def test_project_idempotent_and_feasible(a, b):
 @given(a1=finite, b1=finite, a2=finite, b2=finite)
 def test_project_nonexpansive(a1, b1, a2, b2):
     quad = QuadraticCost()
-    s1, w1 = quad.project_onto_K(np.array(a1), np.array([b1]))
-    s2, w2 = quad.project_onto_K(np.array(a2), np.array([b2]))
+    s1, w1 = project(quad, np.array(a1), np.array([b1]))
+    s2, w2 = project(quad, np.array(a2), np.array([b2]))
     dist_in = np.hypot(a1 - a2, b1 - b2)
     dist_out = np.hypot(float(s1) - float(s2), float(w1[0]) - float(w2[0]))
     assert dist_out <= dist_in + 1e-10
@@ -277,7 +278,7 @@ def test_power_cost_basics():
     # L(0) = 0 and L >= 0
     assert float(cost.eval_L(np.array([0.0]))) == 0.0
     with pytest.raises(NotImplementedError):
-        cost.project_onto_K(np.array(1.0), np.array([1.0]))
+        project(cost, np.array(1.0), np.array([1.0]))
 
 
 def test_make_cost_parses():

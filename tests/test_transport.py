@@ -15,8 +15,16 @@ from hjot.transport import (
     recover_velocity,
     support_threshold,
 )
-from tests.conftest import (dense_constraint_matrix, flatten_primal, flatten_sigma, stencil_apply,
-                            stencil_apply_transpose)
+from tests.conftest import (apply, apply_transpose, dense_constraint_matrix, flatten_primal,
+                            flatten_sigma, stencil_apply, stencil_apply_transpose)
+
+
+def test_row_vectors_compare_by_identity():
+    # equality of two numpy arrays is an array, so == compares the objects
+    g = GridSpec(d=1, D=1.0, N_T=2, N_X=3, eps=0.05, R=0.5)
+    for cls in (SigmaVars, PrimalVars):
+        x, y = cls.zeros(g), cls.zeros(g)
+        assert x == x and not x == y and x != y
 
 
 @pytest.fixture
@@ -28,7 +36,7 @@ def tiny_problem(quad):
 
 def test_apply_kills_constants(tiny_problem):
     g = tiny_problem.grid
-    sig = tiny_problem.operator.apply(np.full((g.N_T + 1,) + g.space_shape, 2.5))
+    sig = apply(tiny_problem.operator, np.full((g.N_T + 1,) + g.space_shape, 2.5))
     assert np.max(np.abs(sig.sigma_t)) == 0.0
     assert np.max(np.abs(sig.sigma_x)) == 0.0
     assert np.max(np.abs(sig.sigma_r)) == 0.0
@@ -39,7 +47,7 @@ def test_apply_on_linear_in_time(tiny_problem):
     g = tiny_problem.grid
     c = 0.8
     phi = np.tile((-c * g.times())[:, None], (1, g.N_X))
-    sig = tiny_problem.operator.apply(phi)
+    sig = apply(tiny_problem.operator, phi)
     assert np.allclose(sig.sigma_t, -c, atol=1e-14)
     assert np.max(np.abs(sig.sigma_x)) == 0.0
     assert np.max(np.abs(sig.sigma_r)) == 0.0
@@ -48,7 +56,7 @@ def test_apply_on_linear_in_time(tiny_problem):
 def test_apply_validates_shape(tiny_problem):
     g = tiny_problem.grid
     with pytest.raises(ValueError):
-        tiny_problem.operator.apply(np.zeros((g.N_T,) + g.space_shape))
+        apply(tiny_problem.operator, np.zeros((g.N_T,) + g.space_shape))
 
 
 # N_X <= 2 puts both periodic neighbours of a cell on one cell, whose
@@ -67,7 +75,7 @@ def test_operator_matches_dense_matrix(d, n_t, n_x):
     for _ in range(20):
         phi = rng.standard_normal((g.N_T + 1,) + g.space_shape)
         ref = A @ phi.ravel() if d == 1 else stencil_apply(g, phi)
-        assert np.max(np.abs(ref - flatten_sigma(op.apply(phi)))) <= 1e-12
+        assert np.max(np.abs(ref - flatten_sigma(apply(op, phi)))) <= 1e-12
 
 
 @OPERATOR_GRIDS
@@ -83,7 +91,7 @@ def test_transpose_matches_dense_matrix(d, n_t, n_x):
             lambda_eta=rng.standard_normal((d,) + g.space_shape),
         )
         ref = A.T @ flatten_primal(lam) if d == 1 else stencil_apply_transpose(g, lam).ravel()
-        assert np.max(np.abs(ref - op.apply_transpose(lam).ravel())) <= 1e-12
+        assert np.max(np.abs(ref - apply_transpose(op, lam).ravel())) <= 1e-12
 
 
 def test_products_are_the_sparse_matrix_products():
@@ -95,8 +103,8 @@ def test_products_are_the_sparse_matrix_products():
     lam = PrimalVars(rng.standard_normal((g.N_T,) + g.space_shape),
                      rng.standard_normal((g.d, g.N_T) + g.space_shape),
                      rng.standard_normal((g.d,) + g.space_shape))
-    assert np.array_equal(op.apply(phi).flat, op.matrix @ phi.ravel())
-    assert np.array_equal(op.apply_transpose(lam).ravel(), op.matrix.T @ lam.flat)
+    assert np.array_equal(apply(op, phi).flat, op.matrix @ phi.ravel())
+    assert np.array_equal(apply_transpose(op, lam).ravel(), op.matrix.T @ lam.flat)
     assert op.matrix.indices.dtype == op.matrix.indptr.dtype == np.int32
 
 
@@ -114,8 +122,8 @@ def test_adjoint_identity_random(d, n_x):
             lambda_m=rng.standard_normal((g.d, g.N_T) + g.space_shape),
             lambda_eta=rng.standard_normal((g.d,) + g.space_shape),
         )
-        lhs = float(flatten_sigma(op.apply(phi)) @ flatten_primal(lam))
-        rhs = float(phi.ravel() @ op.apply_transpose(lam).ravel())
+        lhs = float(flatten_sigma(apply(op, phi)) @ flatten_primal(lam))
+        rhs = float(phi.ravel() @ apply_transpose(op, lam).ravel())
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -222,7 +230,7 @@ def test_recover_velocity_basics(quad):
 def test_converged_solution_nearly_feasible(case2_n16):
     # violations scale with the ADMM stopping tolerance (1e-5)
     problem = case2_n16.problem
-    sig = problem.operator.apply(case2_n16.phi)
+    sig = apply(problem.operator, case2_n16.phi)
     hj_violation = float(np.max(sig.sigma_t + problem.cost.eval_H(sig.sigma_x)))
     # the clamp constraint is componentwise: |(A_R Phi)_k| <= R for every axis
     clamp_violation = float(np.max(np.abs(sig.sigma_r))) - problem.R
@@ -285,15 +293,15 @@ def test_operator_out_buffers_match_allocating_form(d, n):
     lam = PrimalVars(rng.standard_normal((g.N_T,) + sp),
                      rng.standard_normal((d, g.N_T) + sp),
                      rng.standard_normal((d,) + sp))
-    sig = op.apply(phi)
-    nan = SigmaVars(*(np.full_like(x, np.nan) for x in sig.parts()))
+    # out buffers full of NaN are overwritten everywhere and returned,
+    # holding the products op.matrix computes into new arrays
+    nan = SigmaVars.zeros(g)
+    nan.flat.fill(np.nan)
     assert op.apply(phi, out=nan) is nan
-    for got, want in zip(nan.parts(), sig.parts()):
-        assert np.array_equal(got, want)
-    adj = op.apply_transpose(lam)
-    buf = np.full_like(adj, np.nan)
+    assert np.array_equal(nan.flat, op.matrix @ phi.ravel())
+    buf = np.full_like(phi, np.nan)
     assert op.apply_transpose(lam, out=buf) is buf
-    assert np.array_equal(buf, adj)
+    assert np.array_equal(buf.ravel(), op.matrix.T @ lam.flat)
 
 
 @pytest.mark.parametrize("factor", [2.0, 1.001])
