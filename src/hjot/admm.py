@@ -196,14 +196,16 @@ def phi_update(solver, problem: TransportProblem, sigma: SigmaVars,
 
 
 def sigma_update(problem: TransportProblem, a_phi: SigmaVars, lam: PrimalVars,
-                 r: float, out: SigmaVars) -> SigmaVars:
+                 r: float, out: SigmaVars, work: tuple, mask: np.ndarray) -> SigmaVars:
     """Project A Phi + Lambda/r onto the constraint set, into out.
 
-    out must not share memory with a_phi or lam; it is returned.
+    out must not share memory with a_phi or lam; it is returned. work and
+    mask are the scratch of QuadraticCost.project_onto_K for out.sigma_t.
     """
     np.divide(lam.flat, r, out=out.flat)
     np.add(a_phi.flat, out.flat, out=out.flat)
-    problem.cost.project_onto_K(out.sigma_t, out.sigma_x, out=(out.sigma_t, out.sigma_x))
+    problem.cost.project_onto_K(out.sigma_t, out.sigma_x, out=(out.sigma_t, out.sigma_x),
+                                work=work, mask=mask)
     np.clip(out.sigma_r, -problem.R, problem.R, out=out.sigma_r)
     return out
 
@@ -249,7 +251,10 @@ def solve(problem: TransportProblem,
     # A^T(Sigma_k - Sigma_{k-1}) goes into the head of A Phi's buffer, which
     # holds nothing the iteration reads once the multipliers are updated
     a_t_delta = a_phi.flat[:phi.size].reshape(phi.shape)
-    sigma_update(problem, A.apply(phi, out=a_phi), lam, r, out=sigma)
+    # the projection's scratch: seven float arrays and a mask over sigma_t's cells
+    work = tuple(np.empty(sigma.sigma_t.shape) for _ in range(7))
+    mask = np.empty(sigma.sigma_t.shape, dtype=bool)
+    sigma_update(problem, A.apply(phi, out=a_phi), lam, r, out=sigma, work=work, mask=mask)
     solver = SpectralPhiSolver(g)
 
     primal_res, dual_res = [], []
@@ -258,7 +263,8 @@ def solve(problem: TransportProblem,
         # A Phi is free until A.apply, so phi_update uses it as scratch
         phi = phi_update(solver, problem, sigma, lam, r, out=phi, work=a_phi)
         a_phi = A.apply(phi, out=a_phi)
-        sigma_next = sigma_update(problem, a_phi, lam, r, out=sigma_next)
+        sigma_next = sigma_update(problem, a_phi, lam, r, out=sigma_next,
+                                  work=work, mask=mask)
 
         # the residuals overwrite A Phi and the previous Sigma, which no
         # later step reads: A Phi - Sigma_k, then Sigma_k - Sigma_{k-1},

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import AdmmConfig, solve
-from .cost import make_cost
+from .cost import QuadraticCost
 from .grid import GridSpec, centered_gradient, make_grid
 from .measures import DEFAULT_W, build_test_case, project_measure
 from .transport import PrimalVars, assemble_problem, primal_objective, recover_velocity
@@ -158,11 +158,12 @@ class SolveOutput:
 
 
 def solve_instance(case_id: int, N: int, *, w: float | None = None,
-                   zeta: float = 1.0, cost_spec: str = "quadratic",
-                   R: float | None = None, admm_config: AdmmConfig | None = None) -> SolveOutput:
-    """Solve one test case at one resolution and measure all error metrics."""
+                   zeta: float = 1.0, R: float | None = None,
+                   admm_config: AdmmConfig | None = None) -> SolveOutput:
+    """Solve one test case at one resolution, with the quadratic cost, and
+    measure all error metrics."""
     mu, nu, sol = build_test_case(case_id, w=w)
-    cost = make_cost(cost_spec)
+    cost = QuadraticCost()
     grid = make_grid(1, 1.0, N, resolve_nx(N, zeta, 1.0), cost, R=R)
     t0 = time.perf_counter()
     pi_mu = project_measure(mu, grid)
@@ -195,8 +196,8 @@ def solve_instance(case_id: int, N: int, *, w: float | None = None,
 
 
 def run_sweep(case_id: int, resolutions, *, w: float | None = None,
-              zeta: float = 1.0, cost_spec: str = "quadratic",
-              R: float | None = None, admm_config: AdmmConfig | None = None) -> ConvergenceReport:
+              zeta: float = 1.0, R: float | None = None,
+              admm_config: AdmmConfig | None = None) -> ConvergenceReport:
     """Solve a resolution family and fit convergence orders.
 
     Non-converged solves keep their record but are excluded from fits.
@@ -205,7 +206,7 @@ def run_sweep(case_id: int, resolutions, *, w: float | None = None,
     if sorted(res) != res or len(set(res)) != len(res):
         raise ValueError("resolutions must be strictly ascending")
     build_test_case(case_id, w=w)  # validates case_id and w early
-    records = [solve_instance(case_id, n, w=w, zeta=zeta, cost_spec=cost_spec, R=R,
+    records = [solve_instance(case_id, n, w=w, zeta=zeta, R=R,
                               admm_config=admm_config).record
                for n in res]
 

@@ -114,6 +114,8 @@ def resolve_config(ns: argparse.Namespace) -> dict:
             cfg[k] = v
         if FLAGS[k][0] is int and cfg[k] is not None:
             cfg[k] = _integer(k, cfg[k])
+        elif FLAGS[k][0] is float and isinstance(cfg[k], bool):
+            raise ConfigError(f"{k} must be a number, got {cfg[k]!r}")
     cfg["command"] = cmd
     return cfg
 
@@ -270,8 +272,7 @@ def _solver_args(cfg: dict, n_ok, n_error: str) -> tuple[int, list[int], dict]:
     admm_cfg = AdmmConfig(r=float(cfg["admm_r"]), stop_tol=float(cfg["stop_tol"]),
                           max_iters=cfg["max_iters"])
     return cfg["case"], ns, dict(w=cfg["param"], zeta=float(cfg["zeta"]),
-                                 cost_spec=cfg["cost"], R=cfg["clamp_R"],
-                                 admm_config=admm_cfg)
+                                 R=cfg["clamp_R"], admm_config=admm_cfg)
 
 
 def cmd_solve(cfg: dict) -> int:
@@ -288,7 +289,7 @@ def cmd_solve(cfg: dict) -> int:
     w = cfg["param"] if cfg["param"] is not None else DEFAULT_W[case]
     summary = {
         "case": case, "w": w,
-        "N": rec.N, "N_X": grid.N_X, "zeta": grid.zeta, "cost": cfg["cost"],
+        "N": rec.N, "N_X": grid.N_X, "zeta": grid.zeta, "cost": "quadratic",
         "R": grid.R, "eps": grid.eps,
         "K_D": rec.K_D, "K_analytic": res.sol.cost, "duality_gap": rec.duality_gap,
         "iters": rec.iters, "converged": rec.converged,
@@ -419,8 +420,9 @@ def cmd_hj_ivp(cfg: dict) -> int:
 
 
 # the keys every command has; solve and sweep add the test case and the
-# ADMM keys, which default to AdmmConfig's
-_COMMON = dict(zeta=1.0, cost="quadratic", clamp_R=None, out="out")
+# ADMM keys, which default to AdmmConfig's. Only the scheme commands take a
+# cost model: the saddle-point solver runs with the quadratic cost alone.
+_COMMON = dict(zeta=1.0, clamp_R=None, out="out")
 _ADMM = AdmmConfig()
 _SOLVER = dict(case=None, param=None, **_COMMON, admm_r=_ADMM.r,
                stop_tol=_ADMM.stop_tol, max_iters=_ADMM.max_iters)
@@ -429,9 +431,10 @@ COMMANDS = {
     "solve": (cmd_solve, "solve one instance", dict(_SOLVER, n="32")),
     "sweep": (cmd_sweep, "resolution sweep with rate fits", dict(_SOLVER, n="16,32,64,128")),
     "verify-scheme": (cmd_verify_scheme, "scheme property checks",
-                      dict(_COMMON, n="32", eps=None, trials=1000, seed=0)),
+                      dict(_COMMON, cost="quadratic", n="32", eps=None, trials=1000,
+                           seed=0)),
     "hj-ivp": (cmd_hj_ivp, "Hamilton-Jacobi IVP vs Hopf-Lax oracle",
-               dict(_COMMON, n="16,32,64,128")),
+               dict(_COMMON, cost="quadratic", n="16,32,64,128")),
 }
 
 
@@ -446,7 +449,7 @@ def main(argv=None) -> int:
         # written last: a command that raises (exit 3) leaves --out untouched
         atomic_write_text(os.path.join(cfg["out"], "config_resolved.json"), text)
         return code
-    except (ConfigError, ValueError, NotImplementedError, OSError) as e:
+    except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

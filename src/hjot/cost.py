@@ -1,13 +1,15 @@
 """Lagrangian/Hamiltonian cost models and the pointwise constraint projection.
 
 A cost model bundles a strictly convex Lagrangian L with its Legendre
-transform H, the Lipschitz constants of L and H on balls, and the
-projection onto {s + H(w) <= 0} that the optimizer needs. Velocity/gradient
-arguments are arrays with a leading component axis of length d; all maps
-evaluate pointwise over the trailing axes.
+transform H and the Lipschitz constants of L and H on balls.
+Velocity/gradient arguments are arrays with a leading component axis of
+length d; all maps evaluate pointwise over the trailing axes.
 
 Supported kinds: 'quadratic' (L(v)=|v|^2/2) and 'power' with exponent
-p in (1, inf) (L(v)=|v|^p/p, H(w)=|w|^q/q with 1/p+1/q=1).
+p in (1, inf) (L(v)=|v|^p/p, H(w)=|w|^q/q with 1/p+1/q=1). Both drive the
+Hamilton-Jacobi scheme; only the quadratic model has the projection onto
+{s + H(w) <= 0} that the saddle-point solver needs, and assemble_problem
+refuses the other kinds.
 """
 from __future__ import annotations
 
@@ -43,11 +45,6 @@ class CostModel:
         """Lipschitz constant of H on the ball of radius r."""
         raise NotImplementedError
 
-    def project_onto_K(self, a, b, out):
-        """Projection of (a, b) onto {s + H(w) <= 0}, an ADMM loop kernel: it
-        writes into out, a pair (s, w) of float arrays the caller passes."""
-        raise NotImplementedError
-
 
 class QuadraticCost(CostModel):
     """L(v) = |v|^2/2, H(w) = |w|^2/2."""
@@ -55,7 +52,6 @@ class QuadraticCost(CostModel):
     kind = "quadratic"
     p = 2.0
     q = 2.0
-    _scratch: tuple = ()
 
     def eval_L(self, v):
         return 0.5 * np.sum(np.asarray(v) ** 2, axis=0)
@@ -69,7 +65,7 @@ class QuadraticCost(CostModel):
     def lip_H(self, r):
         return float(r)
 
-    def project_onto_K(self, a, b, out):
+    def project_onto_K(self, a, b, out, work, mask):
         """Euclidean projection of (a, b) onto {(s, w): s + |w|^2/2 <= 0}.
 
         Feasible points are returned unchanged. For the rest the KKT system
@@ -85,17 +81,17 @@ class QuadraticCost(CostModel):
 
         The closed form runs on whole arrays, with no boolean indexing:
         feasible cells are padded with a = 0, |b|^2 = 0, where g(0) = 0, so
-        they keep lambda = 0, and a - 0 and b / 1 return them unchanged. The
-        arrays are held by the cost model and reused while the shape stays
-        the same, so one model must not project from two threads at once.
+        they keep lambda = 0, and a - 0 and b / 1 return them unchanged.
 
         a has any shape, b has a leading component axis over the same shape.
         The result goes into out, a pair (s, w) of float arrays shaped like a
         and b, which is returned; it may be (a, b) itself for an in-place
-        projection.
+        projection. The caller also passes the scratch: work, seven float
+        arrays, and mask, a bool array, all shaped like a. The model itself
+        holds no state.
         """
         s, w = out
-        a_pad, half_b2, lam, opl, opl2, tmp, g, mask = self._arrays(a.shape)
+        a_pad, half_b2, lam, opl, opl2, tmp, g = work
         np.multiply(b[0], b[0], out=half_b2)
         for k in range(1, b.shape[0]):
             np.multiply(b[k], b[k], out=tmp)
@@ -130,13 +126,6 @@ class QuadraticCost(CostModel):
         np.divide(b, opl, out=w)
         return s, w
 
-    def _arrays(self, shape: tuple) -> tuple:
-        """Scratch arrays of project_onto_K, reallocated when the shape changes."""
-        if not self._scratch or self._scratch[0].shape != shape:
-            self._scratch = (tuple(np.empty(shape) for _ in range(7))
-                             + (np.empty(shape, dtype=bool),))
-        return self._scratch
-
 
 def _cubic_start(a, half_b2, lam, u, u2, t, x):
     """Cardano's root lambda >= 0 of g = (a - lambda) + B/(1+lambda)^2, B = half_b2,
@@ -165,36 +154,31 @@ def _cubic_start(a, half_b2, lam, u, u2, t, x):
         np.fmax(lam, 0.0, out=lam)  # also turns NaN into 0
 
 
+# bit pattern of the largest finite float; nonnegative floats order as
+# their int64 bit patterns
+_TOP = np.finfo(float).max.view(np.int64)
+
+
 def _bisect_root(a, half_b2):
     """The root lambda >= 0 of g = (a - lambda) + B/(1+lambda)^2, B = half_b2,
-    for 1-d arrays with a + B > 0, each cell on its own: its bracket [0, a + B]
-    doubles until g <= 0 at the top, then halves until it holds two adjacent
-    floats, whose midpoint is returned. Where B = 0 the root is a, and the
-    bracket starts at [a, a]. (1+lambda)^2 may overflow: B / inf = 0 is g's
-    limit there."""
+    for 1-d arrays with a + B > 0, each cell on its own: a binary search over
+    the bit patterns of [0, largest finite float] until the bracket holds two
+    adjacent floats, whose midpoint is returned. g <= 0 at the top, where
+    (1+lambda)^2 overflows and B / inf = 0 is g's limit. Where B = 0 the root
+    is a, and the bracket starts at [a, a]."""
     def g(lam):
         return (a - lam) + half_b2 / (1.0 + lam) ** 2
 
     with np.errstate(over="ignore"):
-        lo = np.where(half_b2 == 0, a, 0.0)
-        hi = a + half_b2
-        for _ in range(200):
-            up = ~(g(hi) <= 0)  # a NaN never brackets
-            if not up.any():
-                break
-            hi = np.where(up, 2.0 * hi, hi)
-        else:
-            raise RuntimeError("projection onto K failed to bracket the root")
-        # 2200 halvings reach two adjacent floats from any finite bracket; a
-        # cell whose midpoint is lo or hi keeps that midpoint in later rounds
-        mid = 0.5 * (lo + hi)
-        for _ in range(2200):
-            if np.all((mid == lo) | (mid == hi)):
-                break
-            pos = g(mid) > 0
+        lo = np.where(half_b2 == 0, a, 0.0).view(np.int64)
+        hi = np.where(half_b2 == 0, lo, _TOP)
+        # at most 63 rounds: the widest bracket spans fewer than 2^63 patterns
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            pos = g(mid.view(float)) > 0
             lo = np.where(pos, mid, lo)
             hi = np.where(pos, hi, mid)
-            mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo.view(float) + hi.view(float))
         # g cancels terms of size |a| + B, so its rounding error grows with
         # them and the accepted residual must too
         if not np.all(np.abs(g(mid)) <= 1e3 * ROOT_TOL * np.maximum(1.0, np.abs(a) + half_b2)):
@@ -224,11 +208,6 @@ class PowerCost(CostModel):
 
     def lip_H(self, r):
         return float(r) ** (self.q - 1.0)
-
-    def project_onto_K(self, a, b, out):
-        raise NotImplementedError(
-            "projection onto {s + H(w) <= 0} is only implemented for the "
-            "quadratic cost; the saddle-point solver supports quadratic runs only")
 
 
 def make_cost(spec: str) -> CostModel:

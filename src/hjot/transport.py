@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
-from .cost import CostModel
+from .cost import CostModel, QuadraticCost
 from .grid import GridSpec, centered_diff, discrete_laplacian, forward_diff
 from .measures import DiscreteMeasure
 
@@ -191,7 +191,7 @@ class TransportProblem:
     """Assembled discrete transport instance."""
 
     grid: GridSpec
-    cost: CostModel
+    cost: QuadraticCost
     pi_mu: DiscreteMeasure
     pi_nu: DiscreteMeasure
     operator: ConstraintOperator
@@ -210,9 +210,13 @@ def assemble_problem(grid: GridSpec, cost: CostModel,
                      pi_mu: DiscreteMeasure, pi_nu: DiscreteMeasure) -> TransportProblem:
     """Transport problem between two marginals of equal mass on the grid.
 
-    Unequal masses make A^T Lambda = F_D unsolvable in its constant mode,
-    which the potential solve would hide, so they are rejected here.
+    The cost must be quadratic: no other model projects onto the constraint
+    set. Unequal masses make A^T Lambda = F_D unsolvable in its constant
+    mode, which the potential solve would hide, so they are rejected here.
     """
+    if not isinstance(cost, QuadraticCost):
+        raise ValueError(f"the saddle-point solver takes the quadratic cost only, "
+                         f"not {cost.kind!r}")
     for name, meas in (("pi_mu", pi_mu), ("pi_nu", pi_nu)):
         if meas.weights.shape != grid.space_shape:
             raise ValueError(f"{name} does not live on the grid")

@@ -8,7 +8,8 @@ slice by slice, as a reference for the library's sparse matrix.
 
 The ADMM loop kernels (ConstraintOperator.apply and apply_transpose, and
 project_onto_K) write into buffers their caller passes; apply,
-apply_transpose and project call them with new ones.
+apply_transpose and project call them with new ones, and projection_scratch
+allocates the scratch that project_onto_K and sigma_update take.
 """
 import numpy as np
 import pytest
@@ -100,9 +101,16 @@ def apply_transpose(op, lam) -> np.ndarray:
     return op.apply_transpose(lam, out=np.empty((op.grid.N_T + 1,) + op.grid.space_shape))
 
 
+def projection_scratch(shape) -> dict:
+    """New work and mask keywords of project_onto_K for arrays a of this shape."""
+    return dict(work=tuple(np.empty(shape) for _ in range(7)),
+                mask=np.empty(shape, dtype=bool))
+
+
 def project(cost, a, b) -> tuple[np.ndarray, np.ndarray]:
     """cost.project_onto_K(a, b) into new float arrays shaped like a and b."""
-    return cost.project_onto_K(a, b, out=(np.empty(np.shape(a)), np.empty(np.shape(b))))
+    return cost.project_onto_K(a, b, out=(np.empty(np.shape(a)), np.empty(np.shape(b))),
+                               **projection_scratch(np.shape(a)))
 
 
 def flatten_sigma(sig) -> np.ndarray:

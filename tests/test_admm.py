@@ -13,10 +13,12 @@ from hjot.admm import (
     solve,
 )
 from hjot.bench import solve_instance
+from hjot.cost import QuadraticCost
 from hjot.grid import GridSpec, make_grid
 from hjot.measures import DiscreteMeasure, build_test_case, project_measure, uniform
 from hjot.transport import PrimalVars, SigmaVars, assemble_problem
-from tests.conftest import apply, dense_constraint_matrix, flatten_primal, flatten_sigma, project
+from tests.conftest import (apply, dense_constraint_matrix, flatten_primal, flatten_sigma,
+                            project, projection_scratch)
 
 
 def case_problem(case_id: int, n: int, quad):
@@ -170,7 +172,8 @@ def test_sigma_update_keeps_feasible_points(quad):
     s = -np.asarray(quad.eval_H(w)) - 0.05  # strictly inside s + H(w) <= 0
     u = rng.uniform(-0.4, 0.4, size=(1, g.N_X))
     a_phi = SigmaVars(s, w, u)
-    out = sigma_update(problem, a_phi, PrimalVars.zeros(g), 1.0, out=SigmaVars.zeros(g))
+    out = sigma_update(problem, a_phi, PrimalVars.zeros(g), 1.0, out=SigmaVars.zeros(g),
+                       **projection_scratch((g.N_T, g.N_X)))
     assert np.allclose(out.sigma_t, s, atol=1e-12)
     assert np.allclose(out.sigma_x, w, atol=1e-12)
     assert np.array_equal(out.sigma_r, u)
@@ -182,7 +185,8 @@ def test_sigma_update_clamps_initial_gradient(quad):
     a_phi = SigmaVars(np.zeros((g.N_T, g.N_X)),
                       np.zeros((1, g.N_T, g.N_X)),
                       np.full((1, g.N_X), 0.7))
-    out = sigma_update(problem, a_phi, PrimalVars.zeros(g), 1.0, out=SigmaVars.zeros(g))
+    out = sigma_update(problem, a_phi, PrimalVars.zeros(g), 1.0, out=SigmaVars.zeros(g),
+                       **projection_scratch((g.N_T, g.N_X)))
     assert np.allclose(out.sigma_r, problem.R)  # 0.7 clipped to R = 0.5
 
 
@@ -197,7 +201,8 @@ def test_sigma_update_delegates_to_projection(quad):
                      rng.standard_normal((1, g.N_T, g.N_X)),
                      rng.standard_normal((1, g.N_X)))
     r = 0.7
-    out = sigma_update(problem, a_phi, lam, r, out=SigmaVars.zeros(g))
+    out = sigma_update(problem, a_phi, lam, r, out=SigmaVars.zeros(g),
+                       **projection_scratch((g.N_T, g.N_X)))
     s_ref, w_ref = project(quad, a_phi.sigma_t + lam.lambda_rho / r,
                            a_phi.sigma_x + lam.lambda_m / r)
     assert np.array_equal(out.sigma_t, s_ref)
@@ -244,6 +249,13 @@ def test_sigma_iterates_always_feasible(quad, cap):
     assert float(np.max(np.abs(sig.sigma_r))) <= problem.R + 1e-12
     assert state.iters == cap and not state.converged
     assert len(state.primal_res) == cap
+
+
+def test_solve_leaves_the_cost_model_without_state():
+    # the projection's scratch belongs to the solve, not to the model
+    problem = uniform_problem(8, QuadraticCost())
+    solve(problem)
+    assert vars(problem.cost) == {}
 
 
 def test_solve_is_deterministic(quad):

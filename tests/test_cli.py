@@ -191,6 +191,19 @@ def test_config_file_rejects_non_integral_integer_keys(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,key", [
+    ("solve", "zeta"), ("solve", "stop_tol"), ("solve", "admm_r"), ("solve", "param"),
+    ("solve", "clamp_R"), ("verify-scheme", "eps"),
+])
+def test_config_file_rejects_booleans_for_float_keys(tmp_path, capsys, command, key):
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(CHEAP[command], **{key: True}, out=str(out))))
+    assert main([command, "--config", str(cfg_path)]) == 3
+    assert f"{key} must be a number, got True" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_integral_floats_are_recorded_as_run(tmp_path):
     out = tmp_path / "o"
     cfg_path = tmp_path / "cfg.json"
@@ -238,6 +251,30 @@ def test_seed_is_rejected_outside_verify_scheme(tmp_path, capsys):
     assert exc.value.code == 3
     assert "--seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_cost_is_rejected_by_the_solver_commands(tmp_path, capsys, command):
+    # the saddle-point solver runs with the quadratic cost alone, so --cost
+    # is an unknown flag there and "cost" an unknown config key
+    out = tmp_path / "o"
+    argv = [command, "--case", "2", "--n", CHEAP[command]["n"], "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cost", "power:3"])
+    assert exc.value.code == 3
+    assert "--cost" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"cost": "quadratic"}))
+    assert main(argv + ["--config", str(cfg_path)]) == 3
+    assert "unknown config key 'cost'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_hj_ivp_runs_with_a_power_cost(tmp_path):
+    out = tmp_path / "o"
+    assert main(["hj-ivp", "--n", "16,32", "--cost", "power:3", "--out", str(out)]) == 0
+    assert json.loads((out / "config_resolved.json").read_text())["cost"] == "power:3"
+    assert json.loads((out / "ivp.json").read_text())["decreasing"] is True
 
 
 @pytest.mark.filterwarnings("ignore:fewer than 3 usable resolutions")

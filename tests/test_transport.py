@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hjot.cost import PowerCost
 from hjot.grid import GridSpec, make_grid
 from hjot.measures import DiscreteMeasure, build_test_case, project_measure
 from hjot.transport import (
@@ -302,6 +303,13 @@ def test_operator_out_buffers_match_allocating_form(d, n):
     buf = np.full_like(phi, np.nan)
     assert op.apply_transpose(lam, out=buf) is buf
     assert np.array_equal(buf.ravel(), op.matrix.T @ lam.flat)
+
+
+def test_assemble_rejects_a_cost_without_projection(quad):
+    g = make_grid(1, 1.0, 16, 16, quad)
+    pi = DiscreteMeasure(np.full(16, 1.0 / 16))
+    with pytest.raises(ValueError, match="quadratic cost only, not 'power'"):
+        assemble_problem(g, PowerCost(3.0), pi, pi)
 
 
 @pytest.mark.parametrize("factor", [2.0, 1.001])

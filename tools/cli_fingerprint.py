@@ -1,4 +1,4 @@
-"""Print a fingerprint of nine CLI runs: exit codes, stdout and artifacts, by hash.
+"""Print a fingerprint of ten CLI runs: exit codes, stdout and artifacts, by hash.
 
 Usage (no flags; hjot is imported from PYTHONPATH):
 
@@ -8,7 +8,7 @@ The first line is the path of the imported hjot package. The runs below
 execute through hjot.cli.main in one fresh temporary directory, each with
 its own relative --out name, so no absolute path reaches stdout or an
 artifact. For each run it prints the exit code and the SHA-256 of stdout,
-and for the hj-ivp run also the sup_error of each resolution (repr); then,
+and for the hj-ivp runs also the sup_error of each resolution (repr); then,
 sorted by file name, the SHA-256 of every artifact file the runs wrote.
 The wall_time column of records.csv and the wall_time values of
 report.json are masked before hashing, as the only outputs that change
@@ -38,6 +38,8 @@ RUNS = (
     ["verify-scheme", "--n", "128", "--trials", "1000"],
     ["verify-scheme", "--n", "64", "--trials", "1000", "--eps", "0"],
     ["hj-ivp", "--n", "16,32"],
+    # the scheme and the oracle with a power cost, which only they run with
+    ["hj-ivp", "--n", "16,32", "--cost", "power:3"],
     ["solve", "--case", "9"],
 )
 
