@@ -12,10 +12,12 @@ The iteration (unscaled multiplier Lambda):
     Lambda <- Lambda + r (A Phi - Sigma)
 
 At convergence Lambda is exactly the primal optimizer (mass, momentum,
-clamp multiplier) and Phi the dual potential. Stopping: both the primal
-residual |A Phi - Sigma|_2 and the dual residual r |A^T(Sigma_k -
-Sigma_{k-1})|_2 below stop_tol; a residual that is not finite stops the
-run at once.
+clamp multiplier) and Phi the dual potential. A Stepper owns the iterates,
+which start at zero, and every loop buffer; its step() runs one iteration
+and returns the primal residual |A Phi - Sigma|_2 and the dual residual
+r |A^T(Sigma_k - Sigma_{k-1})|_2. solve is the driver: it steps until both
+are below stop_tol, a residual is not finite or max_iters is reached, and
+balances r (Stepper.balance) in between.
 
 The Phi subproblem is a space-periodic elliptic system: the spatial FFT
 diagonalizes it into independent symmetric tridiagonal positive-definite
@@ -111,7 +113,7 @@ class SpectralPhiSolver:
         freq_shape = (grid.N_X,) * (grid.d - 1) + (grid.N_X // 2 + 1,)
         thetas = np.meshgrid(*[
             2.0 * np.pi * np.arange(sz) / grid.N_X for sz in freq_shape
-        ], indexing="ij") if grid.d > 0 else []
+        ], indexing="ij")
         lam_sym = np.zeros(freq_shape)
         g2 = np.zeros(freq_shape)
         for th in thetas:
@@ -225,78 +227,90 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(np.vdot(x, x)))
 
 
+class Stepper:
+    """The ADMM iteration on buffers allocated once, with the penalty r.
+
+    phi, lam, sigma and r are the current iterates, all zero but r at the
+    start. A Phi is free until A.apply, so phi_update uses it as scratch.
+    The residuals overwrite A Phi and the previous Sigma, which no later
+    step reads: A Phi - Sigma_k, then Sigma_k - Sigma_{k-1}, a vector of A's
+    row space like Lambda. A^T(Sigma_k - Sigma_{k-1}) goes into the head of
+    A Phi's buffer, which holds nothing the iteration reads once the
+    multipliers are updated; then the two Sigma buffers swap.
+    """
+
+    def __init__(self, problem: TransportProblem, r: float):
+        g = problem.grid
+        _, hi = viscosity_interval(problem.cost, g.R, g.d, g.dt, g.dx)
+        if g.eps / g.dx > hi + 1e-12 * max(1.0, hi):  # pttrf can fail there
+            raise ValueError(f"eps/dx = {g.eps / g.dx:g} above dx/(2 d dt) = {hi:g}, "
+                             "where the scheme is not monotone")
+        self.problem, self.r = problem, r
+        self.phi = np.zeros((g.N_T + 1,) + g.space_shape)
+        self.lam = PrimalVars.zeros(g)
+        self._a_phi, self.sigma, self._sigma_next = (SigmaVars.zeros(g) for _ in range(3))
+        self._a_t_delta = self._a_phi.flat[:self.phi.size].reshape(self.phi.shape)
+        # the projection's scratch: seven float arrays and a mask over sigma_t's cells
+        self._work = tuple(np.empty(self.sigma.sigma_t.shape) for _ in range(7))
+        self._mask = np.empty(self.sigma.sigma_t.shape, dtype=bool)
+        self._solver = SpectralPhiSolver(g)
+
+    def step(self) -> tuple[float, float]:
+        """Run one iteration; returns the (primal, dual) residuals."""
+        problem, r, a_phi, sigma, lam = self.problem, self.r, self._a_phi, self.sigma, self.lam
+        A = problem.operator
+        phi_update(self._solver, problem, sigma, lam, r, out=self.phi, work=a_phi)
+        A.apply(self.phi, out=a_phi)
+        sigma_next = sigma_update(problem, a_phi, lam, r, out=self._sigma_next,
+                                  work=self._work, mask=self._mask)
+        a_phi.flat -= sigma_next.flat
+        primal = _norm(a_phi.flat)
+        lambda_update(lam, a_phi, r)
+        np.subtract(sigma_next.flat, sigma.flat, out=sigma.flat)
+        dual = r * _norm(A.apply_transpose(sigma, out=self._a_t_delta))
+        self.sigma, self._sigma_next = sigma_next, sigma
+        return primal, dual
+
+    def balance(self, primal: float, dual: float) -> None:
+        """Double r when primal > BALANCE_RATIO dual; halve it in the opposite case."""
+        if primal > BALANCE_RATIO * dual:
+            self.r *= 2.0
+        elif dual > BALANCE_RATIO * primal:
+            self.r /= 2.0
+
+
 def solve(problem: TransportProblem,
           config: AdmmConfig | None = None) -> tuple[np.ndarray, PrimalVars, AdmmState]:
     """Run ADMM to the residual tolerance; returns (phi, lambda, state).
 
     The run stops when both residuals reach stop_tol, after max_iters
     iterations, or as soon as a residual is not finite; state.stop_reason
-    names which. The iterates and the loop's scratch arrays are allocated
-    once, here. The residuals of every iteration are kept in
+    names which. The residuals of every iteration are kept in
     state.primal_res and dual_res; state.objective is F_D of the returned Phi.
     """
     if config is None:
         config = AdmmConfig()
-    g = problem.grid
-    _, hi = viscosity_interval(problem.cost, g.R, g.d, g.dt, g.dx)
-    if g.eps / g.dx > hi + 1e-12 * max(1.0, hi):  # pttrf can fail there
-        raise ValueError(f"eps/dx = {g.eps / g.dx:g} above dx/(2 d dt) = {hi:g}, "
-                         "where the scheme is not monotone")
-    A = problem.operator
-    r = config.r
-
-    phi = np.zeros((g.N_T + 1,) + g.space_shape)
-    lam = PrimalVars.zeros(g)
-    a_phi, sigma, sigma_next = (SigmaVars.zeros(g) for _ in range(3))
-    # A^T(Sigma_k - Sigma_{k-1}) goes into the head of A Phi's buffer, which
-    # holds nothing the iteration reads once the multipliers are updated
-    a_t_delta = a_phi.flat[:phi.size].reshape(phi.shape)
-    # the projection's scratch: seven float arrays and a mask over sigma_t's cells
-    work = tuple(np.empty(sigma.sigma_t.shape) for _ in range(7))
-    mask = np.empty(sigma.sigma_t.shape, dtype=bool)
-    sigma_update(problem, A.apply(phi, out=a_phi), lam, r, out=sigma, work=work, mask=mask)
-    solver = SpectralPhiSolver(g)
-
+    stepper = Stepper(problem, config.r)
     primal_res, dual_res = [], []
     stop_reason = "max_iters"
     for it in range(1, config.max_iters + 1):
-        # A Phi is free until A.apply, so phi_update uses it as scratch
-        phi = phi_update(solver, problem, sigma, lam, r, out=phi, work=a_phi)
-        a_phi = A.apply(phi, out=a_phi)
-        sigma_next = sigma_update(problem, a_phi, lam, r, out=sigma_next,
-                                  work=work, mask=mask)
-
-        # the residuals overwrite A Phi and the previous Sigma, which no
-        # later step reads: A Phi - Sigma_k, then Sigma_k - Sigma_{k-1},
-        # a vector of A's row space like Lambda
-        a_phi.flat -= sigma_next.flat
-        primal = _norm(a_phi.flat)
-        lam = lambda_update(lam, a_phi, r)
-        np.subtract(sigma_next.flat, sigma.flat, out=sigma.flat)
-        dual = r * _norm(A.apply_transpose(sigma, out=a_t_delta))
-        sigma, sigma_next = sigma_next, sigma
-
+        primal, dual = stepper.step()
         primal_res.append(primal)
         dual_res.append(dual)
-
         if not (math.isfinite(primal) and math.isfinite(dual)):
             stop_reason = "non_finite"
             warnings.warn(f"ADMM stopped at iteration {it}: non-finite residual "
                           f"(primal {primal:.3e}, dual {dual:.3e})")
             break
-
         if primal <= config.stop_tol and dual <= config.stop_tol:
             stop_reason = "converged"
             break
-
-        if primal > BALANCE_RATIO * dual:
-            r *= 2.0
-        elif dual > BALANCE_RATIO * primal:
-            r /= 2.0
+        stepper.balance(primal, dual)
     else:
         warnings.warn(
             f"ADMM did not converge in {config.max_iters} iterations "
             f"(primal {primal:.3e}, dual {dual:.3e})")
 
+    phi, lam, sigma = stepper.phi, stepper.lam, stepper.sigma
     fd = objective_FD(phi, problem.pi_mu, problem.pi_nu)
-    return phi, lam, AdmmState(sigma, it, primal_res, dual_res, fd, r, stop_reason)
+    return phi, lam, AdmmState(sigma, it, primal_res, dual_res, fd, stepper.r, stop_reason)

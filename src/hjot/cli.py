@@ -114,7 +114,8 @@ def resolve_config(ns: argparse.Namespace) -> dict:
             cfg[k] = v
         if FLAGS[k][0] is int and cfg[k] is not None:
             cfg[k] = _integer(k, cfg[k])
-        elif FLAGS[k][0] is float and isinstance(cfg[k], bool):
+        # a float key takes a real number, or null where its default is None
+        elif FLAGS[k][0] is float and type(cfg[k]) not in (int, float, type(COMMANDS[cmd][2][k])):
             raise ConfigError(f"{k} must be a number, got {cfg[k]!r}")
     cfg["command"] = cmd
     return cfg

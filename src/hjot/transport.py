@@ -173,12 +173,16 @@ class ConstraintOperator:
         g, A = self.grid, self.matrix
         if phi.shape != (g.N_T + 1,) + g.space_shape:
             raise ValueError("apply expects a Q_D potential")
+        if out.flat.size != A.shape[0]:  # the kernel does not check bounds
+            raise ValueError("apply needs an out of this grid's row space")
         out.flat.fill(0.0)  # the kernel adds A phi to out
         csr_matvec(*A.shape, A.indptr, A.indices, A.data, phi.ravel(), out.flat)
         return out
 
     def apply_transpose(self, lam: PrimalVars | SigmaVars, out: np.ndarray) -> np.ndarray:
         A = self.matrix
+        if lam.flat.size != A.shape[0] or out.size != A.shape[1]:
+            raise ValueError("apply_transpose needs lam and out on this grid")
         if not out.flags.c_contiguous:
             raise ValueError("apply_transpose needs a C-contiguous out")
         out.fill(0.0)

@@ -7,6 +7,7 @@ import pytest
 from hjot.admm import (
     AdmmConfig,
     SpectralPhiSolver,
+    Stepper,
     lambda_update,
     phi_update,
     sigma_update,
@@ -226,6 +227,19 @@ def test_lambda_update_arithmetic(quad):
     assert np.allclose(out.lambda_m, 2.0 * a_phi.sigma_x, atol=1e-15)
     assert np.allclose(out.lambda_eta, 2.0 * a_phi.sigma_r, atol=1e-15)
     assert np.array_equal(residual.flat, 2.0 * a_phi.flat)  # scaled in place
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3])
+def test_dual_residual_is_the_equality_residual_of_lambda(quad, case_id):
+    # the Phi-step's optimality gives A^T Lambda_{k+1} - F_D =
+    # r A^T(Sigma_k - Sigma_{k+1}), whose norm step() returns as the dual residual
+    problem = case_problem(case_id, 16, quad)
+    stepper = Stepper(problem, AdmmConfig().r)
+    for _ in range(300):
+        primal, dual = stepper.step()
+        residual = problem.operator.matrix.T @ stepper.lam.flat - problem.objective_data.ravel()
+        assert np.linalg.norm(residual) == pytest.approx(dual, rel=1e-6)
+        stepper.balance(primal, dual)
 
 
 def test_identical_marginals_solve_trivially(quad):

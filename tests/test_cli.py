@@ -191,16 +191,21 @@ def test_config_file_rejects_non_integral_integer_keys(tmp_path, capsys, command
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,key", [
-    ("solve", "zeta"), ("solve", "stop_tol"), ("solve", "admm_r"), ("solve", "param"),
-    ("solve", "clamp_R"), ("verify-scheme", "eps"),
-])
-def test_config_file_rejects_booleans_for_float_keys(tmp_path, capsys, command, key):
+# a float key takes a real number, or null where its default is None:
+# booleans, strings and a null for a key with a numeric default exit 3
+@pytest.mark.parametrize("command,key,value", [
+    ("solve", "zeta", True), ("solve", "stop_tol", True), ("solve", "admm_r", True),
+    ("solve", "param", True), ("solve", "clamp_R", True), ("verify-scheme", "eps", True),
+    ("hj-ivp", "clamp_R", "0.5"), ("solve", "zeta", None), ("solve", "stop_tol", "1e-3"),
+], ids=["solve-zeta", "solve-stop_tol", "solve-admm_r", "solve-param", "solve-clamp_R",
+        "verify-scheme-eps", "hj-ivp-clamp_R-string", "solve-zeta-null",
+        "solve-stop_tol-string"])
+def test_config_file_rejects_booleans_for_float_keys(tmp_path, capsys, command, key, value):
     out = tmp_path / "o"
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(CHEAP[command], **{key: True}, out=str(out))))
+    cfg_path.write_text(json.dumps(dict(CHEAP[command], **{key: value}, out=str(out))))
     assert main([command, "--config", str(cfg_path)]) == 3
-    assert f"{key} must be a number, got True" in capsys.readouterr().err
+    assert f"{key} must be a number, got {value!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -305,6 +305,23 @@ def test_operator_out_buffers_match_allocating_form(d, n):
     assert np.array_equal(buf.ravel(), op.matrix.T @ lam.flat)
 
 
+def test_products_reject_buffers_of_another_grid():
+    # the sparse kernels do not check bounds: a buffer of another grid
+    # would be written or read past its end
+    small, large = (GridSpec(d=1, D=1.0, N_T=n, N_X=n, eps=0.0, R=0.5) for n in (8, 64))
+    small_phi, large_phi = np.zeros((9, 8)), np.zeros((65, 64))
+    op = ConstraintOperator(large)
+    with pytest.raises(ValueError, match="row space"):
+        op.apply(large_phi, out=SigmaVars.zeros(small))
+    with pytest.raises(ValueError, match="row space"):
+        ConstraintOperator(small).apply(small_phi, out=SigmaVars.zeros(large))
+    for lam, out in ((PrimalVars.zeros(small), large_phi), (SigmaVars.zeros(large), small_phi),
+                     (SigmaVars.zeros(small), small_phi)):
+        with pytest.raises(ValueError, match="on this grid"):
+            op.apply_transpose(lam, out=out)
+    assert op.apply_transpose(SigmaVars.zeros(large), out=large_phi) is large_phi
+
+
 def test_assemble_rejects_a_cost_without_projection(quad):
     g = make_grid(1, 1.0, 16, 16, quad)
     pi = DiscreteMeasure(np.full(16, 1.0 / 16))
