@@ -13,11 +13,11 @@ The iteration (unscaled multiplier Lambda):
 
 At convergence Lambda is exactly the primal optimizer (mass, momentum,
 clamp multiplier) and Phi the dual potential. A Stepper owns the iterates,
-which start at zero, and every loop buffer; its step() runs one iteration
-and returns the primal residual |A Phi - Sigma|_2 and the dual residual
-r |A^T(Sigma_k - Sigma_{k-1})|_2. solve is the driver: it steps until both
-are below stop_tol, a residual is not finite or max_iters is reached, and
-balances r (Stepper.balance) in between.
+which start at zero, and every loop buffer; its step() runs one iteration,
+with one A^T product, and returns the primal residual |A Phi - Sigma|_2 and
+the dual residual |F_D - A^T Lambda|_2. solve is the driver: it steps until
+both are below stop_tol (the dual one confirmed exactly), a residual is not
+finite or max_iters is reached, and balances r (Stepper.balance) in between.
 
 The Phi subproblem is a space-periodic elliptic system: the spatial FFT
 diagonalizes it into independent symmetric tridiagonal positive-definite
@@ -42,6 +42,11 @@ from .transport import PrimalVars, SigmaVars, TransportProblem, objective_FD
 # one residual exceeds BALANCE_RATIO times the other. r must track the
 # measure weights, which shrink with the grid; a fixed r stalls the dual residual.
 BALANCE_RATIO = 10.0
+# residual replacement (van der Vorst and Ye 2000): the carried F_D - A^T Lambda
+# is recomputed before every REFRESH_INTERVAL-th Phi-step. K_D moved by 2.3e-8
+# relative never refreshed, 1.6e-10 / 1.2e-10 refreshed every 10th / 8th step
+# and 7.1e-11 every 5th (case 1, N = 192); README's gate is 1e-10.
+REFRESH_INTERVAL = 5
 
 
 @dataclass
@@ -180,21 +185,16 @@ class SpectralPhiSolver:
         return np.fft.irfftn(self._spec, s=self.grid.space_shape, axes=self.axes, out=out)
 
 
-def phi_update(solver, problem: TransportProblem, sigma: SigmaVars,
-               lam: PrimalVars, r: float, out: np.ndarray,
-               work: PrimalVars | SigmaVars) -> np.ndarray:
-    """Solve r A^T A Phi = F_D - A^T Lambda + r A^T Sigma, mean-anchored.
+def phi_update(solver, g: np.ndarray, u: np.ndarray, r: float, out: np.ndarray) -> np.ndarray:
+    """Solve r A^T A Phi = g + r u, mean-anchored, with g = F_D - A^T Lambda
+    and u = A^T Sigma.
 
-    The solution goes into out, a C-contiguous Q_D array that also holds
-    the right-hand side; work, a row vector of A, is scratch for
-    Lambda - r Sigma. out is returned.
+    The solution goes into out, a C-contiguous Q_D array that shares no
+    memory with g or u and also holds the right-hand side; out is returned.
     """
-    np.multiply(r, sigma.flat, out=work.flat)
-    np.subtract(lam.flat, work.flat, out=work.flat)
-    rhs = problem.operator.apply_transpose(work, out=out)
-    np.subtract(problem.objective_data, rhs, out=rhs)
-    rhs /= r
-    return solver.solve(rhs, out=rhs)
+    np.divide(g, r, out=out)
+    out += u
+    return solver.solve(out, out=out)
 
 
 def sigma_update(problem: TransportProblem, a_phi: SigmaVars, lam: PrimalVars,
@@ -231,12 +231,15 @@ class Stepper:
     """The ADMM iteration on buffers allocated once, with the penalty r.
 
     phi, lam, sigma and r are the current iterates, all zero but r at the
-    start. A Phi is free until A.apply, so phi_update uses it as scratch.
-    The residuals overwrite A Phi and the previous Sigma, which no later
-    step reads: A Phi - Sigma_k, then Sigma_k - Sigma_{k-1}, a vector of A's
-    row space like Lambda. A^T(Sigma_k - Sigma_{k-1}) goes into the head of
-    A Phi's buffer, which holds nothing the iteration reads once the
-    multipliers are updated; then the two Sigma buffers swap.
+    start. u = A^T Sigma and g = F_D - A^T Lambda are carried from step to
+    step: by the Phi-step's optimality g_{k+1} = r (u_{k+1} - u_k), so a step
+    runs one A^T product, on Sigma_{k+1}, and |g| is its dual residual.
+    refresh() recomputes g exactly; step() calls it before every
+    REFRESH_INTERVAL-th Phi-step, so that rounding drift cannot build up.
+    A Phi is free until A.apply and again once the multipliers are updated,
+    so g lives in the head of its buffer. sigma_update writes Sigma_{k+1}
+    over Sigma_k, which nothing reads after the Phi-step; A Phi - Sigma_{k+1}
+    overwrites A Phi and is scaled in place into the multiplier step.
     """
 
     def __init__(self, problem: TransportProblem, r: float):
@@ -245,11 +248,12 @@ class Stepper:
         if g.eps / g.dx > hi + 1e-12 * max(1.0, hi):  # pttrf can fail there
             raise ValueError(f"eps/dx = {g.eps / g.dx:g} above dx/(2 d dt) = {hi:g}, "
                              "where the scheme is not monotone")
-        self.problem, self.r = problem, r
-        self.phi = np.zeros((g.N_T + 1,) + g.space_shape)
+        self.problem, self.r, self._steps = problem, r, 0
+        self.phi, self.u = (np.zeros((g.N_T + 1,) + g.space_shape) for _ in range(2))
         self.lam = PrimalVars.zeros(g)
-        self._a_phi, self.sigma, self._sigma_next = (SigmaVars.zeros(g) for _ in range(3))
-        self._a_t_delta = self._a_phi.flat[:self.phi.size].reshape(self.phi.shape)
+        self._a_phi, self.sigma = SigmaVars.zeros(g), SigmaVars.zeros(g)
+        self.g = self._a_phi.flat[:self.phi.size].reshape(self.phi.shape)
+        self.g[...] = problem.objective_data  # Lambda_0 = 0
         # the projection's scratch: seven float arrays and a mask over sigma_t's cells
         self._work = tuple(np.empty(self.sigma.sigma_t.shape) for _ in range(7))
         self._mask = np.empty(self.sigma.sigma_t.shape, dtype=bool)
@@ -257,19 +261,25 @@ class Stepper:
 
     def step(self) -> tuple[float, float]:
         """Run one iteration; returns the (primal, dual) residuals."""
-        problem, r, a_phi, sigma, lam = self.problem, self.r, self._a_phi, self.sigma, self.lam
-        A = problem.operator
-        phi_update(self._solver, problem, sigma, lam, r, out=self.phi, work=a_phi)
-        A.apply(self.phi, out=a_phi)
-        sigma_next = sigma_update(problem, a_phi, lam, r, out=self._sigma_next,
-                                  work=self._work, mask=self._mask)
-        a_phi.flat -= sigma_next.flat
+        problem, r, a_phi, sigma, g = self.problem, self.r, self._a_phi, self.sigma, self.g
+        self._steps += 1
+        if self._steps % REFRESH_INTERVAL == 0:
+            self.refresh()
+        phi_update(self._solver, g, self.u, r, out=self.phi)
+        problem.operator.apply(self.phi, out=a_phi)
+        sigma_update(problem, a_phi, self.lam, r, out=sigma, work=self._work, mask=self._mask)
+        a_phi.flat -= sigma.flat
         primal = _norm(a_phi.flat)
-        lambda_update(lam, a_phi, r)
-        np.subtract(sigma_next.flat, sigma.flat, out=sigma.flat)
-        dual = r * _norm(A.apply_transpose(sigma, out=self._a_t_delta))
-        self.sigma, self._sigma_next = sigma_next, sigma
-        return primal, dual
+        lambda_update(self.lam, a_phi, r)
+        np.negative(self.u, out=g)
+        g += problem.operator.apply_transpose(sigma, out=self.u)
+        g *= r
+        return primal, _norm(g)
+
+    def refresh(self) -> float:
+        """Recompute g = F_D - A^T Lambda exactly; returns its norm."""
+        a_t_lam = self.problem.operator.apply_transpose(self.lam, out=self.g)
+        return _norm(np.subtract(self.problem.objective_data, a_t_lam, out=self.g))
 
     def balance(self, primal: float, dual: float) -> None:
         """Double r when primal > BALANCE_RATIO dual; halve it in the opposite case."""
@@ -302,7 +312,9 @@ def solve(problem: TransportProblem,
             warnings.warn(f"ADMM stopped at iteration {it}: non-finite residual "
                           f"(primal {primal:.3e}, dual {dual:.3e})")
             break
-        if primal <= config.stop_tol and dual <= config.stop_tol:
+        # the carried dual residual is confirmed by the exact one
+        if primal <= config.stop_tol and dual <= config.stop_tol \
+                and stepper.refresh() <= config.stop_tol:
             stop_reason = "converged"
             break
         stepper.balance(primal, dual)

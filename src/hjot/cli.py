@@ -112,11 +112,14 @@ def resolve_config(ns: argparse.Namespace) -> dict:
         v = getattr(ns, k)
         if v is not None:
             cfg[k] = v
-        if FLAGS[k][0] is int and cfg[k] is not None:
+        kind, default = FLAGS[k][0], COMMANDS[cmd][2][k]
+        # a number key takes null only where its default is None
+        if kind is int and (cfg[k] is not None or default is not None):
             cfg[k] = _integer(k, cfg[k])
-        # a float key takes a real number, or null where its default is None
-        elif FLAGS[k][0] is float and type(cfg[k]) not in (int, float, type(COMMANDS[cmd][2][k])):
+        elif kind is float and type(cfg[k]) not in (int, float, type(default)):
             raise ConfigError(f"{k} must be a number, got {cfg[k]!r}")
+        elif kind is str and k != "n" and not isinstance(cfg[k], str):  # n: see parse_resolutions
+            raise ConfigError(f"{k} must be a string, got {cfg[k]!r}")
     cfg["command"] = cmd
     return cfg
 

@@ -209,6 +209,25 @@ def test_config_file_rejects_booleans_for_float_keys(tmp_path, capsys, command, 
     assert not out.exists()
 
 
+# a null for an integer key with a numeric default, and a non-string for a
+# string key other than n, exit 3 and name the key
+@pytest.mark.parametrize("command,key,value,message", [
+    ("solve", "max_iters", None, "must be an integer"),
+    ("verify-scheme", "trials", None, "must be an integer"),
+    ("solve", "out", 5, "must be a string"),
+    ("verify-scheme", "cost", 5, "must be a string"),
+], ids=["solve-max_iters-null", "verify-scheme-trials-null", "solve-out-number",
+        "verify-scheme-cost-number"])
+def test_config_file_rejects_wrong_types(tmp_path, capsys, monkeypatch, command, key, value,
+                                         message):
+    monkeypatch.chdir(tmp_path)  # a run that went ahead would write under ./out or ./5
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(CHEAP[command], **{key: value})))
+    assert main([command, "--config", str(cfg_path)]) == 3
+    assert f"{key} {message}, got {value!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_config_file_integral_floats_are_recorded_as_run(tmp_path):
     out = tmp_path / "o"
     cfg_path = tmp_path / "cfg.json"

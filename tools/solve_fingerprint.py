@@ -10,7 +10,10 @@ N = 128 and N = 192) and the other instances of the gate in README,
 Determinism (cases 1-3 at N = 32, case 1 at N = 64), all with README
 defaults and solved as hjot.bench.solve_instance solves them, it prints the
 iteration count, the final penalty r, the stop reason, K_D, the final dual
-objective F_D and the error metrics eps_v and eps_rho (all repr), and the
+objective F_D, the error metrics eps_v and eps_rho, the last dual residual
+and next to it the exact |A^T Lambda - F_D|_2 of the returned Lambda (all
+repr; the solver carries the dual residual across iterations, so a drift of
+it shows as a gap between the two), and the
 SHA-256 of the raw bytes of phi, of the three Lambda arrays, of the three
 Sigma arrays and of the two residual histories. Two trees that print the same lines after the first compute
 bitwise-identical solves; two trees whose solves differ in rounding are
@@ -35,11 +38,14 @@ def main() -> None:
     print(hjot.__file__)
     for case, N in INSTANCES:
         out = solve_instance(case, N)
-        state = out.state
+        state, problem = out.state, out.problem
+        equality = float(np.linalg.norm(problem.operator.matrix.T @ out.lam.flat
+                                        - problem.objective_data.ravel()))
         print(f"case{case}-N{N} iters={state.iters} r_final={state.r_final!r} "
               f"stop_reason={state.stop_reason} K_D={out.record.K_D!r} "
               f"F_D={state.objective!r} eps_v={out.record.eps_v!r} "
-              f"eps_rho={out.record.eps_rho!r}")
+              f"eps_rho={out.record.eps_rho!r} dual_last={state.dual_res[-1]!r} "
+              f"equality={equality!r}")
         arrays = [("phi", out.phi)]
         arrays += [(f"lam.{name}", x) for name, x in
                    zip(("lambda_rho", "lambda_m", "lambda_eta"), out.lam.parts())]
