@@ -22,18 +22,21 @@ finite or max_iters is reached, and balances r (Stepper.balance) in between.
 The Phi subproblem is a space-periodic elliptic system: the spatial FFT
 diagonalizes it into independent symmetric tridiagonal positive-definite
 systems in time (one per frequency), which are prefactored once with a
-tridiagonal LDL^T (LAPACK pttrf/pttrs). The zero frequency is singular with
-constant kernel and is pinned; the constant mode is anchored to mean zero
-on the zero-frequency coefficients.
+tridiagonal LDL^T (LAPACK dpttrf). Each solve runs LAPACK zpttrs once, in
+place on one complex spectrum buffer that holds the frequencies one after
+the other. The zero frequency is singular with constant kernel and is
+pinned; the constant mode is anchored to mean zero on the zero-frequency
+coefficients.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, zpttrs
 
 from .grid import viscosity_interval
 from .transport import PrimalVars, SigmaVars, TransportProblem, objective_FD
@@ -55,7 +58,7 @@ class AdmmConfig:
 
     :param r: initial penalty parameter, finite and positive
     :param stop_tol: threshold for both residual norms, finite and positive
-    :param max_iters: iteration cap, at least 1 (non-convergence is
+    :param max_iters: iteration cap, an integer of at least 1 (non-convergence is
         flagged, not raised)
     """
 
@@ -64,11 +67,13 @@ class AdmmConfig:
     max_iters: int = 200000
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) and v > 0 for v in (self.r, self.stop_tol)):
-            raise ValueError(f"r and stop_tol must be finite and positive, "
+        if not all(not isinstance(v, bool) and math.isfinite(v) and v > 0
+                   for v in (self.r, self.stop_tol)):
+            raise ValueError(f"r and stop_tol must be finite and positive numbers, "
                              f"got r={self.r!r}, stop_tol={self.stop_tol!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        m = self.max_iters
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {m!r}")
 
 
 @dataclass
@@ -111,8 +116,7 @@ class SpectralPhiSolver:
     def __init__(self, grid):
         self.grid = grid
         n = grid.N_T + 1
-        axes = tuple(range(-grid.d, 0))
-        self.axes = axes
+        self.axes = tuple(range(-grid.d, 0))
         # rfftn layout: full frequencies on the leading spatial axes,
         # nonnegative frequencies on the last
         freq_shape = (grid.N_X,) * (grid.d - 1) + (grid.N_X // 2 + 1,)
@@ -142,45 +146,36 @@ class SpectralPhiSolver:
         off[0, 1] = 0.0
 
         # off[:, 0] = 0 decouples consecutive blocks of the stacked system
-        self.d_fac, self.e_fac, info = dpttrf(diag.reshape(-1), off.reshape(-1)[1:])
+        self.d_fac, e_fac, info = dpttrf(diag.reshape(-1), off.reshape(-1)[1:])
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"potential system not positive definite (LAPACK pttrf info = {info})")
-        self._spec = np.empty((n,) + freq_shape, dtype=complex)
-        spec = self._spec.reshape(n, F)
-        # right-hand sides in Fortran order, as LAPACK reads them: column 0
-        # the real parts, column 1 the imaginary parts, frequency-major
-        self._rhs = np.empty((F * n, 2), order="F")
-        # (spectrum part, right-hand side column) pairs, both seen as (n, F).
-        # Real and imaginary parts are copied one at a time: a single copy
-        # through the complex buffer's float view runs an inner loop of
-        # length 2 and took 5x longer at N = 192.
-        self._parts = [(part, col.reshape(F, n).T)
-                       for part, col in zip((spec.real, spec.imag), self._rhs.T)]
+        self.e_fac = e_fac.astype(complex)  # zpttrs takes a complex e
+        # the spectrum, frequency-major as zpttrs reads it, seen by the FFTs
+        # as (n,) + freq_shape
+        self._buf = np.empty(F * n, dtype=complex)
+        self._spec = self._buf.reshape(F, n).T.reshape((n,) + freq_shape)
         # real parts of the zero-frequency coefficients, one per time level;
         # their mean is the mean of Phi times the number of cells in space
-        self._dc = spec.real[:, 0]
+        self._dc = self._buf[:n].real
 
     def solve(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Solve A^T A Phi = b for a Q_D field b; the solution has mean zero.
 
-        The real and imaginary parts of all frequency blocks go through one
-        LAPACK pttrs call. The mean is anchored on the zero-frequency
+        All frequency blocks go through one LAPACK zpttrs call, in place on
+        the spectrum. The mean is anchored on the zero-frequency
         coefficients, before the inverse FFT. The solution is written into
         out, a Q_D array (it may be b itself), which is returned. b must be
-        finite: pttrs does not check, and non-finite input gives a
+        finite: zpttrs does not check, and non-finite input gives a
         non-finite result.
         """
         np.fft.rfftn(b, axes=self.axes, out=self._spec)
-        for part, col in self._parts:
-            np.copyto(col, part)
-        self._rhs[0] = 0.0  # pinned unknown of the zero frequency
-        # Fortran-order float64, so pttrs overwrites self._rhs without a copy
-        _, info = dpttrs(self.d_fac, self.e_fac, self._rhs, overwrite_b=1)
+        self._buf[0] = 0.0  # pinned unknown of the zero frequency
+        x, info = zpttrs(self.d_fac, self.e_fac, self._buf, overwrite_b=1)
         if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK pttrs")
-        for part, col in self._parts:
-            np.copyto(part, col)
+            raise ValueError(f"illegal value in argument {-info} of LAPACK zpttrs")
+        if x is not self._buf:
+            raise RuntimeError("LAPACK zpttrs solved a copy of the spectrum buffer")
         self._dc -= self._dc.mean()
         return np.fft.irfftn(self._spec, s=self.grid.space_shape, axes=self.axes, out=out)
 

@@ -139,9 +139,9 @@ def fit_rate(points) -> float:
 def resolve_nx(N_T: int, zeta: float, D: float) -> int:
     """N_X implied by zeta = dt/dx; must come out integral."""
     nx = zeta * D * N_T
-    if abs(nx - round(nx)) > 1e-9 or round(nx) < 3:
-        raise ValueError(f"zeta={zeta} with N_T={N_T}, D={D} gives non-integral "
-                         f"or too small N_X={nx}")
+    if not math.isfinite(nx) or abs(nx - round(nx)) > 1e-9 or round(nx) < 3:
+        raise ValueError(f"zeta={zeta} with N_T={N_T}, D={D} gives non-finite, "
+                         f"non-integral or too small N_X={nx}")
     return int(round(nx))
 
 

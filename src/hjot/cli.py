@@ -137,8 +137,8 @@ def _integer(key: str, value) -> int:
 
 
 def parse_resolutions(value) -> list[int]:
-    if isinstance(value, int):
-        ns = [value]
+    if isinstance(value, (int, float)):
+        ns = [_integer("n", value)]
     elif isinstance(value, (list, tuple)):
         ns = [_integer("n", v) for v in value]
     else:

@@ -192,8 +192,8 @@ class PowerCost(CostModel):
     kind = "power"
 
     def __init__(self, p: float):
-        if not p > 1:
-            raise ValueError("power cost requires p > 1")
+        if not 1 < p < np.inf:
+            raise ValueError(f"power cost requires a finite p > 1, got {p!r}")
         self.p = float(p)
         self.q = self.p / (self.p - 1.0)
 

@@ -23,6 +23,7 @@ is one sparse matrix assembled from them once, in transport.py.)
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,10 @@ class GridSpec:
         for name in ("D", "R", "eps"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.d < 1 or self.N_T < 1 or self.N_X < 1:
-            raise ValueError("d, N_T, N_X must be positive")
+        counts = (self.d, self.N_T, self.N_X)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+                   for v in counts):
+            raise ValueError(f"d, N_T, N_X must be positive integers, got {counts}")
         if self.D <= 0:
             raise ValueError("period D must be positive")
         if self.eps < 0 or self.R <= 0:

@@ -238,8 +238,8 @@ def build_test_case(case_id: int, w: float | None = None
     """
     if case_id == 1:
         w = DEFAULT_W[1] if w is None else float(w)
-        if w != round(w) or w == 0:
-            raise ValueError("case 1 requires a nonzero integer w")
+        if not np.isfinite(w) or w != round(w) or w == 0:
+            raise ValueError(f"case 1 requires a nonzero integer w, got {w!r}")
 
         F0 = _cosine_cdf(w)
 

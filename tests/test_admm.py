@@ -35,12 +35,12 @@ def uniform_problem(n: int, quad):
 
 
 def test_config_validation():
-    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf, True):
         with pytest.raises(ValueError, match="finite and positive"):
             AdmmConfig(r=bad)
         with pytest.raises(ValueError, match="finite and positive"):
             AdmmConfig(stop_tol=bad)
-    for max_iters in (0, -3):
+    for max_iters in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match="max_iters"):
             AdmmConfig(max_iters=max_iters)
     cfg = AdmmConfig()

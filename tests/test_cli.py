@@ -181,6 +181,7 @@ def test_config_file_rejections(tmp_path, capsys):
     ("solve", "case", 2.7), ("solve", "max_iters", 3.9),
     ("verify-scheme", "trials", 10.5), ("verify-scheme", "seed", 0.5),
     ("hj-ivp", "n", [8, 16.5]), ("solve", "case", True), ("hj-ivp", "n", [True, 16]),
+    ("hj-ivp", "n", 16.5),
 ])
 def test_config_file_rejects_non_integral_integer_keys(tmp_path, capsys, command, key, value):
     out = tmp_path / "o"
@@ -229,14 +230,16 @@ def test_config_file_rejects_wrong_types(tmp_path, capsys, monkeypatch, command,
 
 
 def test_config_file_integral_floats_are_recorded_as_run(tmp_path):
-    out = tmp_path / "o"
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"case": 2.0, "n": [8.0], "max_iters": 3.0,
-                                    "out": str(out)}))
-    assert main(["solve", "--config", str(cfg_path)]) == 2  # 3 iterations do not converge
-    resolved = (out / "config_resolved.json").read_text()
-    assert '"case": 2,' in resolved and '"max_iters": 3,' in resolved
-    assert json.loads((out / "summary.json").read_text())["iters"] == 3
+    for i, n in enumerate(([8.0], 8.0)):  # n as a list and as a scalar
+        out = tmp_path / f"o{i}"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"case": 2.0, "n": n, "max_iters": 3.0,
+                                        "out": str(out)}))
+        assert main(["solve", "--config", str(cfg_path)]) == 2  # 3 iterations do not converge
+        resolved = (out / "config_resolved.json").read_text()
+        assert '"case": 2,' in resolved and '"max_iters": 3,' in resolved
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["N"], summary["iters"]) == (8, 3)
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
@@ -322,9 +325,15 @@ def test_config_resolved_has_no_seed(tmp_path, command):
     (["verify-scheme", "--n", "16", "--trials", "-5"], "trials must be at least 1"),
     (["solve", "--case", "2", "--n", "16", "--clamp-R", "nan"], "R must be finite, got nan"),
     (["verify-scheme", "--n", "16", "--eps", "nan"], "eps must be finite, got nan"),
+    (["solve", "--case", "2", "--n", "8", "--zeta", "inf"], "N_X=inf"),
+    (["solve", "--case", "2", "--n", "8", "--zeta", "1e308"], "N_X=inf"),
+    (["verify-scheme", "--n", "8", "--zeta", "inf"], "N_X=inf"),
+    (["solve", "--case", "1", "--n", "8", "--param", "inf"], "nonzero integer w, got inf"),
+    (["solve", "--case", "1", "--n", "8", "--param", "nan"], "nonzero integer w, got nan"),
 ], ids=["solve-case9", "solve-zeta", "sweep-case9", "verify-empty-interval",
         "solve-stop-tol-nan", "verify-trials0", "verify-trials-neg", "solve-clamp-R-nan",
-        "verify-eps-nan"])
+        "verify-eps-nan", "solve-zeta-inf", "solve-zeta-1e308", "verify-zeta-inf",
+        "solve-param-inf", "solve-param-nan"])
 def test_rejected_run_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 3

@@ -285,5 +285,7 @@ def test_make_cost_parses():
     assert c.kind == "power" and c.p == 3.0
     with pytest.raises(ValueError):
         make_cost("power:1")  # p must exceed 1
+    with pytest.raises(ValueError, match="finite p > 1, got inf"):
+        make_cost("power:inf")
     with pytest.raises(ValueError):
         make_cost("unknown")

@@ -26,7 +26,8 @@ def test_spec_derived_quantities(quad):
 
 
 @pytest.mark.parametrize("kw", [dict(d=0), dict(N_T=0), dict(N_X=0),
-                                dict(D=0.0), dict(eps=-1.0), dict(R=0.0)])
+                                dict(D=0.0), dict(eps=-1.0), dict(R=0.0),
+                                dict(N_X=8.5), dict(N_T=True), dict(d=True)])
 def test_gridspec_rejects_bad_fields(kw):
     base = dict(d=1, D=1.0, N_T=4, N_X=4, eps=0.1, R=0.5)
     base.update(kw)
