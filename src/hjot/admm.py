@@ -5,19 +5,23 @@ Sigma = A Phi and the indicator of C = {(s, w, u): s + H(w) <= 0, |u| <= R}:
 
     min_Phi  -F_D(Phi) + I_C(Sigma)   s.t.  A Phi - Sigma = 0.
 
-The iteration (unscaled multiplier Lambda):
+The iteration runs in scaled form (Boyd et al. 2011, sec. 3.1.1), with the
+scaled multiplier Y = Lambda / r in place of Lambda:
 
-    Phi    <- argmin: solves  r A^T A Phi = F_D - A^T Lambda + r A^T Sigma
-    Sigma  <- proj_C( A Phi + Lambda / r )
-    Lambda <- Lambda + r (A Phi - Sigma)
+    Phi    <- argmin: solves  A^T A Phi = (F_D - A^T Lambda) / r + A^T Sigma
+    Z      <- A Phi + Y
+    Sigma  <- proj_C(Z)
+    Y      <- Z - Sigma
 
-At convergence Lambda is exactly the primal optimizer (mass, momentum,
-clamp multiplier) and Phi the dual potential. A Stepper owns the iterates,
-which start at zero, and every loop buffer; its step() runs one iteration,
-with one A^T product, and returns the primal residual |A Phi - Sigma|_2 and
-the dual residual |F_D - A^T Lambda|_2. solve is the driver: it steps until
-both are below stop_tol (the dual one confirmed exactly), a residual is not
-finite or max_iters is reached, and balances r (Stepper.balance) in between.
+which is the unscaled iteration (Lambda <- Lambda + r (A Phi - Sigma)) with
+the same arithmetic regrouped. At convergence Lambda = r Y is exactly the
+primal optimizer (mass, momentum, clamp multiplier) and Phi the dual
+potential. A Stepper owns the iterates, which start at zero, and every loop
+buffer; its step() runs one iteration, with one A^T product, and returns
+the primal residual |A Phi - Sigma|_2 and the dual residual
+|F_D - A^T Lambda|_2. solve runs the loop: it steps until both are below
+stop_tol (the dual one confirmed exactly), a residual is not finite or
+max_iters is reached, and balances r (Stepper.balance) in between.
 
 The Phi subproblem is a space-periodic elliptic system: the spatial FFT
 diagonalizes it into independent symmetric tridiagonal positive-definite
@@ -67,8 +71,8 @@ class AdmmConfig:
     max_iters: int = 200000
 
     def __post_init__(self) -> None:
-        if not all(not isinstance(v, bool) and math.isfinite(v) and v > 0
-                   for v in (self.r, self.stop_tol)):
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   and math.isfinite(v) and v > 0 for v in (self.r, self.stop_tol)):
             raise ValueError(f"r and stop_tol must be finite and positive numbers, "
                              f"got r={self.r!r}, stop_tol={self.stop_tol!r}")
         m = self.max_iters
@@ -116,7 +120,11 @@ class SpectralPhiSolver:
     def __init__(self, grid):
         self.grid = grid
         n = grid.N_T + 1
-        self.axes = tuple(range(-grid.d, 0))
+        # the complex transforms' axes, the real transform taking the last;
+        # solve calls the one-axis FFTs in rfftn's and irfftn's order (rfftn
+        # runs these last to first after rfft, irfftn first to last before
+        # irfft), which round the same, without the n-d wrappers' overhead
+        self._complex_axes = tuple(range(-grid.d, -1))
         # rfftn layout: full frequencies on the leading spatial axes,
         # nonnegative frequencies on the last
         freq_shape = (grid.N_X,) * (grid.d - 1) + (grid.N_X // 2 + 1,)
@@ -169,53 +177,58 @@ class SpectralPhiSolver:
         finite: zpttrs does not check, and non-finite input gives a
         non-finite result.
         """
-        np.fft.rfftn(b, axes=self.axes, out=self._spec)
+        spec = self._spec
+        np.fft.rfft(b, axis=-1, out=spec)
+        for ax in reversed(self._complex_axes):
+            np.fft.fft(spec, axis=ax, out=spec)
         self._buf[0] = 0.0  # pinned unknown of the zero frequency
         x, info = zpttrs(self.d_fac, self.e_fac, self._buf, overwrite_b=1)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK zpttrs")
         if x is not self._buf:
             raise RuntimeError("LAPACK zpttrs solved a copy of the spectrum buffer")
-        self._dc -= self._dc.mean()
-        return np.fft.irfftn(self._spec, s=self.grid.space_shape, axes=self.axes, out=out)
+        dc = self._dc
+        dc -= np.add.reduce(dc) / dc.size  # dc.mean(), without its dispatch
+        for ax in self._complex_axes:
+            spec = np.fft.ifft(spec, axis=ax)
+        return np.fft.irfft(spec, n=self.grid.N_X, axis=-1, out=out)
 
 
-def phi_update(solver, g: np.ndarray, u: np.ndarray, r: float, out: np.ndarray) -> np.ndarray:
-    """Solve r A^T A Phi = g + r u, mean-anchored, with g = F_D - A^T Lambda
+def phi_update(solver, h: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Solve A^T A Phi = h + u, mean-anchored, with h = (F_D - A^T Lambda) / r
     and u = A^T Sigma.
 
     The solution goes into out, a C-contiguous Q_D array that shares no
-    memory with g or u and also holds the right-hand side; out is returned.
+    memory with h or u and also holds the right-hand side; out is returned.
     """
-    np.divide(g, r, out=out)
-    out += u
+    np.add(h, u, out=out)
     return solver.solve(out, out=out)
 
 
-def sigma_update(problem: TransportProblem, a_phi: SigmaVars, lam: PrimalVars,
-                 r: float, out: SigmaVars, work: tuple, mask: np.ndarray) -> SigmaVars:
-    """Project A Phi + Lambda/r onto the constraint set, into out.
+def sigma_update(problem: TransportProblem, z: SigmaVars, y: SigmaVars,
+                 out: SigmaVars, work: tuple, mask: np.ndarray) -> SigmaVars:
+    """Form Z = A Phi + Y in z, which holds A Phi, and project Z onto C into out.
 
-    out must not share memory with a_phi or lam; it is returned. work and
-    mask are the scratch of QuadraticCost.project_onto_K for out.sigma_t.
+    y holds the scaled multiplier Y. out must not share memory with z; it
+    is returned. work and mask are the scratch of
+    QuadraticCost.project_onto_K for out.sigma_t.
     """
-    np.divide(lam.flat, r, out=out.flat)
-    np.add(a_phi.flat, out.flat, out=out.flat)
-    problem.cost.project_onto_K(out.sigma_t, out.sigma_x, out=(out.sigma_t, out.sigma_x),
+    z.flat += y.flat
+    problem.cost.project_onto_K(z.sigma_t, z.sigma_x, out=(out.sigma_t, out.sigma_x),
                                 work=work, mask=mask)
-    np.clip(out.sigma_r, -problem.R, problem.R, out=out.sigma_r)
+    np.clip(z.sigma_r, -problem.R, problem.R, out=out.sigma_r)
     return out
 
 
-def lambda_update(lam: PrimalVars, residual: SigmaVars, r: float) -> PrimalVars:
-    """Multiplier ascent Lambda <- Lambda + r (A Phi - Sigma), in place.
+def lambda_update(z: SigmaVars, sigma: SigmaVars, y: SigmaVars) -> SigmaVars:
+    """Scaled multiplier step Y_{k+1} = Z - Sigma = Y_k + A Phi - Sigma, in z.
 
-    residual holds A Phi - Sigma and is scaled by r in place; lam is
-    returned.
+    y holds Y_k and is overwritten with Y_k - Y_{k+1} = Sigma - A Phi,
+    whose norm is the primal residual; z is returned.
     """
-    residual.flat *= r
-    lam.flat += residual.flat
-    return lam
+    z.flat -= sigma.flat
+    y.flat -= z.flat
+    return z
 
 
 def _norm(x: np.ndarray) -> float:
@@ -223,18 +236,25 @@ def _norm(x: np.ndarray) -> float:
 
 
 class Stepper:
-    """The ADMM iteration on buffers allocated once, with the penalty r.
+    """The scaled ADMM iteration on buffers allocated once, with the penalty r.
 
-    phi, lam, sigma and r are the current iterates, all zero but r at the
-    start. u = A^T Sigma and g = F_D - A^T Lambda are carried from step to
-    step: by the Phi-step's optimality g_{k+1} = r (u_{k+1} - u_k), so a step
-    runs one A^T product, on Sigma_{k+1}, and |g| is its dual residual.
-    refresh() recomputes g exactly; step() calls it before every
-    REFRESH_INTERVAL-th Phi-step, so that rounding drift cannot build up.
-    A Phi is free until A.apply and again once the multipliers are updated,
-    so g lives in the head of its buffer. sigma_update writes Sigma_{k+1}
-    over Sigma_k, which nothing reads after the Phi-step; A Phi - Sigma_{k+1}
-    overwrites A Phi and is scaled in place into the multiplier step.
+    phi, sigma, the scaled multiplier y = Lambda / r and r are the current
+    iterates, all zero but r at the start; lam forms Lambda = r y. Two
+    row-space buffers take turns: one holds y, the other is free until a
+    step writes A Phi into it, adds y (giving Z) and subtracts Sigma, when
+    it holds the next y; the old y then takes Y_k - Y_{k+1}, whose norm is
+    the primal residual, and becomes the free buffer.
+
+    u = A^T Sigma and h = (F_D - A^T Lambda) / r are carried from step to
+    step: by the Phi-step's optimality h_{k+1} = u_{k+1} - u_k, so a step
+    runs one A^T product, on Sigma_{k+1}, into the older of two u buffers,
+    and r |h| is its dual residual. h lives in the head of the free
+    row-space buffer, which nothing reads between the step that writes h
+    and the A Phi of the next. refresh() recomputes h exactly; step()
+    calls it before every REFRESH_INTERVAL-th Phi-step, so that rounding
+    drift cannot build up. When balance() changes r it rescales y and h by
+    r_old / r_new, which is 2 or 1/2, so Lambda = r y and F_D - A^T Lambda
+    = r h keep every bit.
     """
 
     def __init__(self, problem: TransportProblem, r: float):
@@ -244,44 +264,63 @@ class Stepper:
             raise ValueError(f"eps/dx = {g.eps / g.dx:g} above dx/(2 d dt) = {hi:g}, "
                              "where the scheme is not monotone")
         self.problem, self.r, self._steps = problem, r, 0
-        self.phi, self.u = (np.zeros((g.N_T + 1,) + g.space_shape) for _ in range(2))
-        self.lam = PrimalVars.zeros(g)
-        self._a_phi, self.sigma = SigmaVars.zeros(g), SigmaVars.zeros(g)
-        self.g = self._a_phi.flat[:self.phi.size].reshape(self.phi.shape)
-        self.g[...] = problem.objective_data  # Lambda_0 = 0
-        # the projection's scratch: seven float arrays and a mask over sigma_t's cells
-        self._work = tuple(np.empty(self.sigma.sigma_t.shape) for _ in range(7))
+        shape = (g.N_T + 1,) + g.space_shape
+        self.phi, self.u, self._u_old = (np.zeros(shape) for _ in range(3))
+        self.sigma, self.y, self._free = (SigmaVars.zeros(g) for _ in range(3))
+        # the head of each row-space buffer, as a Q_D field; h is that of the free one
+        self._h_of_y, self.h = (v.flat[:self.phi.size].reshape(shape)
+                                for v in (self.y, self._free))
+        np.divide(problem.objective_data, r, out=self.h)  # Lambda_0 = 0
+        # the projection's scratch: six float arrays and a mask over sigma_t's cells
+        self._work = tuple(np.empty(self.sigma.sigma_t.shape) for _ in range(6))
         self._mask = np.empty(self.sigma.sigma_t.shape, dtype=bool)
         self._solver = SpectralPhiSolver(g)
 
+    @property
+    def lam(self) -> PrimalVars:
+        """The multiplier Lambda = r y, in a new PrimalVars."""
+        lam = PrimalVars.zeros(self.problem.grid)
+        np.multiply(self.y.flat, self.r, out=lam.flat)
+        return lam
+
     def step(self) -> tuple[float, float]:
         """Run one iteration; returns the (primal, dual) residuals."""
-        problem, r, a_phi, sigma, g = self.problem, self.r, self._a_phi, self.sigma, self.g
+        problem, y, z = self.problem, self.y, self._free
         self._steps += 1
         if self._steps % REFRESH_INTERVAL == 0:
             self.refresh()
-        phi_update(self._solver, g, self.u, r, out=self.phi)
-        problem.operator.apply(self.phi, out=a_phi)
-        sigma_update(problem, a_phi, self.lam, r, out=sigma, work=self._work, mask=self._mask)
-        a_phi.flat -= sigma.flat
-        primal = _norm(a_phi.flat)
-        lambda_update(self.lam, a_phi, r)
-        np.negative(self.u, out=g)
-        g += problem.operator.apply_transpose(sigma, out=self.u)
-        g *= r
-        return primal, _norm(g)
+        phi_update(self._solver, self.h, self.u, out=self.phi)
+        problem.operator.apply(self.phi, out=z)
+        sigma_update(problem, z, y, out=self.sigma, work=self._work, mask=self._mask)
+        lambda_update(z, self.sigma, y)
+        primal = _norm(y.flat)
+        u_old, h = self.u, self._h_of_y
+        self.u = problem.operator.apply_transpose(self.sigma, out=self._u_old)
+        np.subtract(self.u, u_old, out=h)
+        self._u_old = u_old
+        self.y, self._free, self.h, self._h_of_y = z, y, h, self.h
+        return primal, self.r * _norm(h)
 
     def refresh(self) -> float:
-        """Recompute g = F_D - A^T Lambda exactly; returns its norm."""
-        a_t_lam = self.problem.operator.apply_transpose(self.lam, out=self.g)
-        return _norm(np.subtract(self.problem.objective_data, a_t_lam, out=self.g))
+        """Recompute h = (F_D - A^T Lambda) / r exactly; returns |F_D - A^T Lambda|_2."""
+        h = self.problem.operator.apply_transpose(self.y, out=self.h)
+        h *= -self.r  # -A^T Lambda: A^T is linear
+        h += self.problem.objective_data
+        dual = _norm(h)
+        h /= self.r
+        return dual
 
     def balance(self, primal: float, dual: float) -> None:
         """Double r when primal > BALANCE_RATIO dual; halve it in the opposite case."""
         if primal > BALANCE_RATIO * dual:
-            self.r *= 2.0
+            ratio = 0.5  # r_old / r_new
         elif dual > BALANCE_RATIO * primal:
-            self.r /= 2.0
+            ratio = 2.0
+        else:
+            return
+        self.r /= ratio
+        self.y.flat *= ratio
+        self.h *= ratio
 
 
 def solve(problem: TransportProblem,

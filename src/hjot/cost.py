@@ -79,19 +79,19 @@ class QuadraticCost(CostModel):
         misses are bisected (_bisect_root). Each cell's answer depends on
         that cell alone, not on the others in the array.
 
-        The closed form runs on whole arrays, with no boolean indexing:
-        feasible cells are padded with a = 0, |b|^2 = 0, where g(0) = 0, so
-        they keep lambda = 0, and a - 0 and b / 1 return them unchanged.
+        The closed form runs on whole arrays, feasible cells included, with
+        no boolean indexing. On feasible cells lambda is then set to 0, so
+        a - 0 and b / 1 return them unchanged, and the residual g to 0, so
+        none of them is bisected.
 
         a has any shape, b has a leading component axis over the same shape.
         The result goes into out, a pair (s, w) of float arrays shaped like a
-        and b, which is returned; it may be (a, b) itself for an in-place
-        projection. The caller also passes the scratch: work, seven float
-        arrays, and mask, a bool array, all shaped like a. The model itself
-        holds no state.
+        and b that share no memory with them, which is returned. The caller
+        also passes the scratch: work, six float arrays, and mask, a bool
+        array, all shaped like a. The model itself holds no state.
         """
         s, w = out
-        a_pad, half_b2, lam, opl, opl2, tmp, g = work
+        half_b2, lam, opl, opl2, tmp, g = work
         np.multiply(b[0], b[0], out=half_b2)
         for k in range(1, b.shape[0]):
             np.multiply(b[k], b[k], out=tmp)
@@ -104,25 +104,22 @@ class QuadraticCost(CostModel):
             np.copyto(w, b)
             return s, w
         np.logical_not(mask, out=mask)  # the feasible cells
-        np.copyto(a_pad, a)
-        np.copyto(a_pad, 0.0, where=mask)
-        np.copyto(half_b2, 0.0, where=mask)
-        _cubic_start(a_pad, half_b2, lam, opl, opl2, tmp, g)
+        _cubic_start(a, half_b2, lam, opl, opl2, tmp, g)
         np.copyto(lam, 0.0, where=mask)  # exactly 0, however cbrt rounds
         np.add(1.0, lam, out=opl)
         np.square(opl, out=opl2)
         np.divide(half_b2, opl2, out=g)
-        np.subtract(a_pad, lam, out=tmp)
-        g += tmp
-        np.absolute(g, out=g)
-        # the cells the closed form misses; a NaN residual is one of them
-        np.less_equal(g, ROOT_TOL, out=mask)
-        np.logical_not(mask, out=mask)
-        if mask.any():
-            lam[mask] = _bisect_root(a_pad[mask], half_b2[mask])
-        # lambda = 0 on feasible cells, where a - 0 = a and b / 1 = b exactly
-        np.add(1.0, lam, out=opl)
         np.subtract(a, lam, out=s)
+        g += s
+        np.copyto(g, 0.0, where=mask)
+        np.absolute(g, out=g)
+        # a NaN residual makes the max NaN, which fails the test too
+        if not g.max() <= ROOT_TOL:
+            np.less_equal(g, ROOT_TOL, out=mask)
+            np.logical_not(mask, out=mask)  # the cells the closed form misses
+            lam[mask] = _bisect_root(a[mask], half_b2[mask])
+            np.add(1.0, lam, out=opl)
+            np.subtract(a, lam, out=s)
         np.divide(b, opl, out=w)
         return s, w
 

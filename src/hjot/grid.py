@@ -128,6 +128,11 @@ def make_grid(d: int, D: float, N_T: int, N_X: int, cost,
     diam = D * np.sqrt(d) / 2.0
     if R is None:
         R = float(cost.lip_L(diam))
+    # before the viscosity interval, which an infinite R would make empty
+    if not math.isfinite(R):
+        raise ValueError(f"R must be finite, got {R!r}")
+    if R <= 0:
+        raise ValueError(f"R must be positive, got {R!r}")
     monotone_radius = default_monotone_radius(R)
     dx = D / N_X
     lo, hi = viscosity_interval(cost, monotone_radius, d, 1.0 / N_T, dx)

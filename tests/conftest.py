@@ -103,7 +103,7 @@ def apply_transpose(op, lam) -> np.ndarray:
 
 def projection_scratch(shape) -> dict:
     """New work and mask keywords of project_onto_K for arrays a of this shape."""
-    return dict(work=tuple(np.empty(shape) for _ in range(7)),
+    return dict(work=tuple(np.empty(shape) for _ in range(6)),
                 mask=np.empty(shape, dtype=bool))
 
 

@@ -276,9 +276,8 @@ def test_c09_phi_update_matches_dense_least_squares():
         lam = PrimalVars(rng.standard_normal((g.N_T, g.N_X)),
                          rng.standard_normal((1, g.N_T, g.N_X)),
                          rng.standard_normal((1, g.N_X)))
-        phi = phi_update(solver,
-                         problem.objective_data - apply_transpose(problem.operator, lam),
-                         apply_transpose(problem.operator, sigma), r,
+        h = (problem.objective_data - apply_transpose(problem.operator, lam)) / r
+        phi = phi_update(solver, h, apply_transpose(problem.operator, sigma),
                          out=np.empty_like(problem.objective_data))
         rhs = problem.objective_data.ravel() \
             - A.T @ (flatten_primal(lam) - r * flatten_sigma(sigma))

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import zpttrs
 
 from hjot.admm import (
+    BALANCE_RATIO,
     AdmmConfig,
     SpectralPhiSolver,
     Stepper,
@@ -40,6 +42,12 @@ def test_config_validation():
             AdmmConfig(r=bad)
         with pytest.raises(ValueError, match="finite and positive"):
             AdmmConfig(stop_tol=bad)
+    for bad in ("1", None, 1 + 0j, [1.0]):  # not real numbers
+        with pytest.raises(ValueError, match="r and stop_tol must be finite and positive"):
+            AdmmConfig(r=bad)
+        with pytest.raises(ValueError, match="r and stop_tol must be finite and positive"):
+            AdmmConfig(stop_tol=bad)
+    assert AdmmConfig(r=np.float64(0.5), stop_tol=2).r == 0.5
     for max_iters in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match="max_iters"):
             AdmmConfig(max_iters=max_iters)
@@ -57,11 +65,11 @@ def test_phi_update_stationary_point(quad):
     phi_prev -= phi_prev.mean()
     sigma = apply(problem.operator, phi_prev)
     lam = PrimalVars.zeros(g)
-    equality = -apply_transpose(problem.operator, lam)  # F_D - A^T Lambda with F_D = 0
     a_t_sigma = apply_transpose(problem.operator, sigma)
     solver = SpectralPhiSolver(g)
     for r in (0.3, 1.0, 4.0):
-        out = phi_update(solver, equality, a_t_sigma, r, out=np.empty_like(phi_prev))
+        h = -apply_transpose(problem.operator, lam) / r  # (F_D - A^T Lambda) / r, F_D = 0
+        out = phi_update(solver, h, a_t_sigma, out=np.empty_like(phi_prev))
         assert np.allclose(out, phi_prev, atol=1e-9)
 
 
@@ -83,6 +91,7 @@ def dense_operator(problem) -> np.ndarray:
 
 @pytest.mark.parametrize("d,n_x", [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)])
 def test_phi_update_matches_dense_least_squares(quad, d, n_x):
+    # A^T A Phi = (F_D - A^T Lambda) / r + A^T Sigma against
     # r A^T A Phi = F_D - A^T Lambda + r A^T Sigma, solved densely
     g = GridSpec(d=d, D=1.0, N_T=2, N_X=n_x, eps=0.05, R=0.5)
     rng = np.random.default_rng(33)
@@ -97,9 +106,8 @@ def test_phi_update_matches_dense_least_squares(quad, d, n_x):
                           rng.standard_normal((d, g.N_T) + sp),
                           rng.standard_normal((d,) + sp))
                       for cls in (SigmaVars, PrimalVars))
-        phi = phi_update(solver,
-                         problem.objective_data - apply_transpose(problem.operator, lam),
-                         apply_transpose(problem.operator, sigma), r,
+        h = (problem.objective_data - apply_transpose(problem.operator, lam)) / r
+        phi = phi_update(solver, h, apply_transpose(problem.operator, sigma),
                          out=np.empty_like(problem.objective_data))
 
         rhs = problem.objective_data.ravel() \
@@ -115,6 +123,26 @@ def test_phi_solver_returns_mean_zero_field(quad, d, n_t, n_x):
     b = np.random.default_rng(34).standard_normal((g.N_T + 1,) + g.space_shape)
     phi = SpectralPhiSolver(g).solve(b, out=np.empty_like(b))
     assert abs(phi.mean()) <= 1e-15 * np.max(np.abs(phi))
+
+
+@pytest.mark.parametrize("d, n_t, n_x", [(1, 16, 16), (1, 12, 9), (2, 12, 8), (2, 6, 5),
+                                         (3, 4, 6)])
+def test_phi_solver_matches_the_n_d_transforms_bitwise(quad, d, n_t, n_x):
+    # the one-axis FFTs against rfftn/irfftn and .mean(); from d = 3 on, a
+    # different order of the complex axes rounds differently
+    g = GridSpec(d=d, D=1.0, N_T=n_t, N_X=n_x, eps=0.01, R=0.5)
+    solver = SpectralPhiSolver(g)
+    axes = tuple(range(-d, 0))
+    for seed in (37, 38):
+        b = np.random.default_rng(seed).standard_normal((g.N_T + 1,) + g.space_shape)
+        spec = solver._spec
+        spec[...] = np.fft.rfftn(b, axes=axes)
+        solver._buf[0] = 0.0
+        x, info = zpttrs(solver.d_fac, solver.e_fac, solver._buf, overwrite_b=1)
+        assert info == 0 and x is solver._buf
+        solver._dc -= solver._dc.mean()
+        ref = np.fft.irfftn(spec, s=g.space_shape, axes=axes)
+        assert np.array_equal(solver.solve(b, out=np.empty_like(b)), ref)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -174,7 +202,7 @@ def test_sigma_update_keeps_feasible_points(quad):
     s = -np.asarray(quad.eval_H(w)) - 0.05  # strictly inside s + H(w) <= 0
     u = rng.uniform(-0.4, 0.4, size=(1, g.N_X))
     a_phi = SigmaVars(s, w, u)
-    out = sigma_update(problem, a_phi, PrimalVars.zeros(g), 1.0, out=SigmaVars.zeros(g),
+    out = sigma_update(problem, a_phi, SigmaVars.zeros(g), out=SigmaVars.zeros(g),
                        **projection_scratch((g.N_T, g.N_X)))
     assert np.allclose(out.sigma_t, s, atol=1e-12)
     assert np.allclose(out.sigma_x, w, atol=1e-12)
@@ -187,28 +215,30 @@ def test_sigma_update_clamps_initial_gradient(quad):
     a_phi = SigmaVars(np.zeros((g.N_T, g.N_X)),
                       np.zeros((1, g.N_T, g.N_X)),
                       np.full((1, g.N_X), 0.7))
-    out = sigma_update(problem, a_phi, PrimalVars.zeros(g), 1.0, out=SigmaVars.zeros(g),
+    out = sigma_update(problem, a_phi, SigmaVars.zeros(g), out=SigmaVars.zeros(g),
                        **projection_scratch((g.N_T, g.N_X)))
     assert np.allclose(out.sigma_r, problem.R)  # 0.7 clipped to R = 0.5
+
+
+def random_sigma(g, rng):
+    return SigmaVars(rng.standard_normal((g.N_T, g.N_X)),
+                     rng.standard_normal((1, g.N_T, g.N_X)),
+                     rng.standard_normal((1, g.N_X)))
 
 
 def test_sigma_update_delegates_to_projection(quad):
     problem = case_problem(2, 16, quad)
     g = problem.grid
     rng = np.random.default_rng(35)
-    a_phi = SigmaVars(rng.standard_normal((g.N_T, g.N_X)),
-                      rng.standard_normal((1, g.N_T, g.N_X)),
-                      rng.standard_normal((1, g.N_X)))
-    lam = PrimalVars(rng.standard_normal((g.N_T, g.N_X)),
-                     rng.standard_normal((1, g.N_T, g.N_X)),
-                     rng.standard_normal((1, g.N_X)))
-    r = 0.7
-    out = sigma_update(problem, a_phi, lam, r, out=SigmaVars.zeros(g),
+    a_phi, y = (random_sigma(g, rng) for _ in range(2))
+    z_ref = a_phi.flat + y.flat
+    out = sigma_update(problem, a_phi, y, out=SigmaVars.zeros(g),
                        **projection_scratch((g.N_T, g.N_X)))
-    s_ref, w_ref = project(quad, a_phi.sigma_t + lam.lambda_rho / r,
-                           a_phi.sigma_x + lam.lambda_m / r)
+    assert np.array_equal(a_phi.flat, z_ref)  # Z = A Phi + Y, in place of A Phi
+    s_ref, w_ref = project(quad, a_phi.sigma_t, a_phi.sigma_x)
     assert np.array_equal(out.sigma_t, s_ref)
     assert np.array_equal(out.sigma_x, w_ref)
+    assert np.array_equal(out.sigma_r, np.clip(a_phi.sigma_r, -problem.R, problem.R))
     assert np.max(np.abs(out.sigma_r)) <= problem.R
 
 
@@ -216,18 +246,16 @@ def test_lambda_update_arithmetic(quad):
     problem = case_problem(2, 16, quad)
     g = problem.grid
     rng = np.random.default_rng(36)
-    a_phi = SigmaVars(rng.standard_normal((g.N_T, g.N_X)),
-                      rng.standard_normal((1, g.N_T, g.N_X)),
-                      rng.standard_normal((1, g.N_X)))
-    lam = PrimalVars.zeros(g)
-    assert lambda_update(lam, SigmaVars.zeros(g), 2.0) is lam
-    assert np.max(np.abs(lam.lambda_rho)) == 0.0  # A Phi = Sigma fixes Lambda
-    residual = SigmaVars(*a_phi.parts())  # A Phi - Sigma with Sigma = 0
-    out = lambda_update(lam, residual, 2.0)
-    assert np.allclose(out.lambda_rho, 2.0 * a_phi.sigma_t, atol=1e-15)
-    assert np.allclose(out.lambda_m, 2.0 * a_phi.sigma_x, atol=1e-15)
-    assert np.allclose(out.lambda_eta, 2.0 * a_phi.sigma_r, atol=1e-15)
-    assert np.array_equal(residual.flat, 2.0 * a_phi.flat)  # scaled in place
+    z, sigma, y = (random_sigma(g, rng) for _ in range(3))
+    z_in, y_in = z.flat.copy(), y.flat.copy()
+    assert lambda_update(z, sigma, y) is z
+    assert np.array_equal(z.flat, z_in - sigma.flat)  # Y_{k+1} = Z - Sigma
+    assert np.array_equal(y.flat, y_in - z.flat)  # Y_k - Y_{k+1}
+    # Z = Sigma fixes Y at zero, and Y_k - Y_{k+1} = Y_k
+    z, y = SigmaVars(*sigma.parts()), SigmaVars(*sigma.parts())
+    lambda_update(z, sigma, y)
+    assert np.max(np.abs(z.flat)) == 0.0
+    assert np.array_equal(y.flat, sigma.flat)
 
 
 @pytest.mark.parametrize("case_id", [1, 2, 3])
@@ -241,6 +269,69 @@ def test_dual_residual_is_the_equality_residual_of_lambda(quad, case_id):
         residual = problem.operator.matrix.T @ stepper.lam.flat - problem.objective_data.ravel()
         assert np.linalg.norm(residual) == pytest.approx(dual, rel=1e-6)
         stepper.balance(primal, dual)
+
+
+def unscaled_iteration(problem, r: float):
+    """The textbook ADMM iteration with the unscaled multiplier Lambda, one
+    dense-vector step at a time: yields (Phi, Lambda, r) after each step."""
+    g, A, cost = problem.grid, problem.operator.matrix, problem.cost
+    solver = SpectralPhiSolver(g)
+    shape = problem.objective_data.shape
+    f_d = problem.objective_data.ravel()
+    lam, sigma = np.zeros(A.shape[0]), np.zeros(A.shape[0])
+    while True:
+        rhs = (f_d - A.T @ lam + r * (A.T @ sigma)) / r
+        phi = solver.solve(rhs.reshape(shape), out=np.empty(shape))
+        a_phi = A @ phi.ravel()
+        v = SigmaVars.zeros(g)
+        v.flat[:] = a_phi + lam / r
+        s, w = project(cost, v.sigma_t, v.sigma_x)
+        sigma = np.concatenate([s.ravel(), w.ravel(),
+                                np.clip(v.sigma_r, -problem.R, problem.R).ravel()])
+        lam = lam + r * (a_phi - sigma)
+        yield phi, lam, r
+        primal, dual = np.linalg.norm(a_phi - sigma), np.linalg.norm(f_d - A.T @ lam)
+        if primal > BALANCE_RATIO * dual:
+            r *= 2.0
+        elif dual > BALANCE_RATIO * primal:
+            r /= 2.0
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3])
+def test_stepper_follows_the_unscaled_iteration(quad, case_id):
+    # the scaled form regroups the same arithmetic: Phi and Lambda = r Y stay
+    # within rounding of the textbook loop, and r takes the same values
+    problem = case_problem(case_id, 16, quad)
+    stepper = Stepper(problem, AdmmConfig().r)
+    reference = unscaled_iteration(problem, AdmmConfig().r)
+    changes = 0
+    for _ in range(300):
+        r = stepper.r
+        primal, dual = stepper.step()
+        phi_ref, lam_ref, r_ref = next(reference)
+        assert r == r_ref
+        assert np.max(np.abs(stepper.phi - phi_ref)) <= 1e-12 * np.max(np.abs(phi_ref))
+        lam = stepper.lam.flat
+        assert np.max(np.abs(lam - lam_ref)) <= 1e-12 * np.max(np.abs(lam_ref))
+        stepper.balance(primal, dual)
+        changes += stepper.r != r
+    assert changes > 0
+
+
+def test_balance_rescales_without_changing_lambda(quad):
+    problem = case_problem(2, 16, quad)
+    stepper = Stepper(problem, 0.3)
+    for _ in range(20):
+        stepper.step()
+    lam, h, r = stepper.lam.flat.copy(), stepper.h.copy(), stepper.r
+    for primal, dual, factor in ((1.0, 0.01, 2.0), (0.01, 1.0, 0.5), (1.0, 0.01, 2.0)):
+        stepper.balance(primal, dual)
+        assert stepper.r == r * factor
+        assert np.array_equal(stepper.lam.flat, lam)  # Lambda = r Y, every bit
+        assert np.array_equal(stepper.r * stepper.h, r * h)  # F_D - A^T Lambda = r h
+        r, h = stepper.r, stepper.h.copy()
+    stepper.balance(1.0, 1.0)
+    assert stepper.r == r and np.array_equal(stepper.lam.flat, lam)
 
 
 def test_carried_dual_residual_does_not_drift_over_a_full_solve(quad):

@@ -324,6 +324,8 @@ def test_config_resolved_has_no_seed(tmp_path, command):
     (["verify-scheme", "--n", "16", "--trials", "0"], "trials must be at least 1"),
     (["verify-scheme", "--n", "16", "--trials", "-5"], "trials must be at least 1"),
     (["solve", "--case", "2", "--n", "16", "--clamp-R", "nan"], "R must be finite, got nan"),
+    (["solve", "--case", "2", "--n", "8", "--clamp-R", "inf"], "R must be finite, got inf"),
+    (["verify-scheme", "--n", "8", "--clamp-R", "inf"], "R must be finite, got inf"),
     (["verify-scheme", "--n", "16", "--eps", "nan"], "eps must be finite, got nan"),
     (["solve", "--case", "2", "--n", "8", "--zeta", "inf"], "N_X=inf"),
     (["solve", "--case", "2", "--n", "8", "--zeta", "1e308"], "N_X=inf"),
@@ -332,6 +334,7 @@ def test_config_resolved_has_no_seed(tmp_path, command):
     (["solve", "--case", "1", "--n", "8", "--param", "nan"], "nonzero integer w, got nan"),
 ], ids=["solve-case9", "solve-zeta", "sweep-case9", "verify-empty-interval",
         "solve-stop-tol-nan", "verify-trials0", "verify-trials-neg", "solve-clamp-R-nan",
+        "solve-clamp-R-inf", "verify-clamp-R-inf",
         "verify-eps-nan", "solve-zeta-inf", "solve-zeta-1e308", "verify-zeta-inf",
         "solve-param-inf", "solve-param-nan"])
 def test_rejected_run_writes_nothing(tmp_path, capsys, argv, message):

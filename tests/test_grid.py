@@ -183,6 +183,17 @@ def test_make_grid_rejects_empty_interval():
         make_grid(1, 1.0, 4, 64, QuadraticCost())
 
 
+def test_make_grid_checks_R_before_the_viscosity_interval():
+    # an infinite R made the interval empty and was reported as such
+    for R, message in ((np.inf, "R must be finite, got inf"),
+                       (-np.inf, "R must be finite, got -inf"),
+                       (np.nan, "R must be finite, got nan"),
+                       (0.0, "R must be positive, got 0.0"),
+                       (-0.5, "R must be positive, got -0.5")):
+        with pytest.raises(ValueError, match=message):
+            make_grid(1, 1.0, 8, 8, QuadraticCost(), R=R)
+
+
 def test_make_grid_custom_radius():
     cost = QuadraticCost()
     g = make_grid(1, 1.0, 16, 16, cost, R=0.3)

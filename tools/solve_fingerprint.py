@@ -1,8 +1,8 @@
 """Print a fingerprint of the solves of the numerical gate, by value and by hash.
 
-Usage (no flags; hjot is imported from PYTHONPATH):
+Usage (hjot is imported from PYTHONPATH):
 
-    PYTHONPATH=src python tools/solve_fingerprint.py
+    PYTHONPATH=src python tools/solve_fingerprint.py [--against FILE]
 
 The first line is the path of the imported hjot package. Then, for each of
 the four seed-0 benchmark solves (case 2 and case 3 at N = 64, case 1 at
@@ -19,8 +19,17 @@ Sigma arrays and of the two residual histories. Two trees that print the same li
 bitwise-identical solves; two trees whose solves differ in rounding are
 compared by the iteration counts, K_D and F_D values; a change to the error
 metrics alone shows in eps_v and eps_rho.
+
+With --against FILE, a saved output of this script, it prints instead one
+line per instance comparing this run with FILE under README's numerical
+gate: iters, r_final and stop_reason equal, K_D and F_D within GATE_RTOL
+relative. Each hash is reported as equal or different; a different hash is
+not a breach. It exits 1 if an instance breaches the gate or is missing
+from FILE, and 0 otherwise.
 """
+import argparse
 import hashlib
+import sys
 
 import numpy as np
 
@@ -28,24 +37,27 @@ import hjot
 from hjot.bench import solve_instance
 
 INSTANCES = ((2, 64), (3, 64), (1, 128), (1, 192), (1, 32), (2, 32), (3, 32), (1, 64))
+GATE_RTOL = 1e-10
+EXACT = ("iters", "r_final", "stop_reason")  # compared as printed
+CLOSE = ("K_D", "F_D")
 
 
 def sha(array) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
-def main() -> None:
-    print(hjot.__file__)
+def fingerprint():
+    """The lines of the fingerprint, after the first, one at a time."""
     for case, N in INSTANCES:
         out = solve_instance(case, N)
         state, problem = out.state, out.problem
         equality = float(np.linalg.norm(problem.operator.matrix.T @ out.lam.flat
                                         - problem.objective_data.ravel()))
-        print(f"case{case}-N{N} iters={state.iters} r_final={state.r_final!r} "
-              f"stop_reason={state.stop_reason} K_D={out.record.K_D!r} "
-              f"F_D={state.objective!r} eps_v={out.record.eps_v!r} "
-              f"eps_rho={out.record.eps_rho!r} dual_last={state.dual_res[-1]!r} "
-              f"equality={equality!r}")
+        yield (f"case{case}-N{N} iters={state.iters} r_final={state.r_final!r} "
+               f"stop_reason={state.stop_reason} K_D={out.record.K_D!r} "
+               f"F_D={state.objective!r} eps_v={out.record.eps_v!r} "
+               f"eps_rho={out.record.eps_rho!r} dual_last={state.dual_res[-1]!r} "
+               f"equality={equality!r}")
         arrays = [("phi", out.phi)]
         arrays += [(f"lam.{name}", x) for name, x in
                    zip(("lambda_rho", "lambda_m", "lambda_eta"), out.lam.parts())]
@@ -54,8 +66,65 @@ def main() -> None:
         arrays += [(name, np.asarray(getattr(state, name), dtype=float))
                    for name in ("primal_res", "dual_res")]
         for name, x in arrays:
-            print(f"  {name} {sha(x)}")
+            yield f"  {name} {sha(x)}"
+
+
+def parse(lines) -> dict:
+    """{instance: (values, hashes)} from fingerprint lines; others are skipped."""
+    found = {}
+    for line in lines:
+        if line.startswith("case"):
+            name, *pairs = line.split()
+            values, hashes = dict(p.split("=", 1) for p in pairs), {}
+            found[name] = (values, hashes)
+        elif line.startswith("  ") and found:
+            array, digest = line.split()
+            hashes[array] = digest
+    return found
+
+
+def compare(saved: dict, current: dict) -> bool:
+    """Print one line per instance of current against saved; True if all hold the gate."""
+    ok = True
+    for name, (values, hashes) in current.items():
+        if name not in saved:
+            print(f"{name} BREACH: missing from the saved output")
+            ok = False
+            continue
+        old_values, old_hashes = saved[name]
+        breaches = [f"{key} {old_values.get(key)} -> {values[key]}" for key in EXACT
+                    if old_values.get(key) != values[key]]
+        parts = []
+        for key in CLOSE:
+            new, old = float(values[key]), float(old_values.get(key, "nan"))
+            rel = abs(new - old) / abs(old) if old else abs(new - old)
+            parts.append(f"{key} rel {rel:.1e}")
+            if not rel <= GATE_RTOL:
+                breaches.append(f"{key} {old!r} -> {new!r}")
+        differ = [a for a in hashes if hashes[a] != old_hashes.get(a)]
+        parts.append(f"hashes {len(hashes) - len(differ)}/{len(hashes)} equal"
+                     + (f" (differ: {', '.join(differ)})" if differ else ""))
+        verdict = "BREACH: " + "; ".join(breaches) if breaches else "ok"
+        print(f"{name} {verdict}: {'; '.join(parts)}")
+        ok &= not breaches
+    return ok
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--against", metavar="FILE",
+                   help="a saved output of this script to compare with")
+    args = p.parse_args(argv)
+    if args.against is None:
+        print(hjot.__file__)
+        for line in fingerprint():
+            print(line, flush=True)
+        return 0
+    with open(args.against) as f:
+        saved = parse(f)
+    print(f"{hjot.__file__} against {args.against}")
+    return 0 if compare(saved, parse(fingerprint())) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
