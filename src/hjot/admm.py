@@ -216,7 +216,9 @@ def sigma_update(problem: TransportProblem, z: SigmaVars, y: SigmaVars,
     z.flat += y.flat
     problem.cost.project_onto_K(z.sigma_t, z.sigma_x, out=(out.sigma_t, out.sigma_x),
                                 work=work, mask=mask)
-    np.clip(z.sigma_r, -problem.R, problem.R, out=out.sigma_r)
+    # the clamp to [-R, R] as np.clip computes it, without its Python wrappers
+    np.maximum(z.sigma_r, -problem.R, out=out.sigma_r)
+    np.minimum(out.sigma_r, problem.R, out=out.sigma_r)
     return out
 
 

@@ -19,9 +19,17 @@ import numpy as np
 ROOT_TOL = 1e-12
 
 
+def _sum_of_squares(v) -> np.ndarray:
+    """Sum of v**2 over the leading component axis. A square is never -0.0,
+    so a single component is its own sum, bit for bit, without a pass of the
+    reduction."""
+    sq = np.square(v)
+    return sq[0] if len(sq) == 1 else np.add.reduce(sq, axis=0)
+
+
 def _norm(v: np.ndarray) -> np.ndarray:
     """Euclidean norm over the leading component axis."""
-    return np.sqrt(np.sum(v * v, axis=0))
+    return np.sqrt(_sum_of_squares(v))
 
 
 class CostModel:
@@ -54,10 +62,10 @@ class QuadraticCost(CostModel):
     q = 2.0
 
     def eval_L(self, v):
-        return 0.5 * np.sum(np.asarray(v) ** 2, axis=0)
+        return 0.5 * _sum_of_squares(v)
 
     def eval_H(self, w):
-        return 0.5 * np.sum(np.asarray(w) ** 2, axis=0)
+        return 0.5 * _sum_of_squares(w)
 
     def lip_L(self, r):
         return float(r)

@@ -11,9 +11,10 @@ numpy arrays with the following shape conventions:
 - vector fields carry a leading axis of length d
 
 All spatial operators act on the last d axes, so they broadcast over any
-leading time/batch axes. Index arithmetic is modulo N_X (periodic): a
-difference is one pass over slices of the input plus one pass over the
-wrap slab, whose neighbours lie across the period. No input is copied.
+leading time/batch axes. Index arithmetic is modulo N_X (periodic): along
+each axis a stencil makes one padded copy of the input, which holds the
+neighbours across the period at its ends, and forms its differences in one
+subtraction over two shifted slices of that copy.
 
 Every stencil allocates its result, which shares no memory with the
 input. The arithmetic is that of the defining formulas, operation by
@@ -22,6 +23,7 @@ is one sparse matrix assembled from them once, in transport.py.)
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -151,76 +153,72 @@ def _check_axis(grid: GridSpec, k: int) -> int:
     return k - grid.d
 
 
-_NEXT, _PREV = slice(1, None), slice(None, -1)
-_FIRST, _LAST = slice(0, 1), slice(-1, None)
+@functools.lru_cache
+def _wrap_index(n: int) -> np.ndarray:
+    """Indices -1, 0, ..., n; take(mode="wrap") reads -1 as n - 1 and n as 0."""
+    idx = np.arange(-1, n + 1)
+    idx.flags.writeable = False
+    return idx
 
 
-def _neighbour_op(op, psi: np.ndarray, ax: int, out: np.ndarray, forward: bool) -> np.ndarray:
-    """out(j) = op(psi(j+1), psi(j)) if forward, else op(psi(j), psi(j-1)),
-    along the (negative) axis ax, with periodic wrap."""
+@functools.lru_cache
+def _shifted(ax: int) -> tuple[tuple, tuple]:
+    """Index tuples of the slices [1:] and [:-1] along the (negative) axis ax."""
     rest = (slice(None),) * (-ax - 1)
-    nxt, prv = (Ellipsis, _NEXT) + rest, (Ellipsis, _PREV) + rest
-    first, last = (Ellipsis, _FIRST) + rest, (Ellipsis, _LAST) + rest
-    op(psi[nxt], psi[prv], out=out[prv if forward else nxt])
-    op(psi[first], psi[last], out=out[last if forward else first])
-    return out
+    return (Ellipsis, slice(1, None)) + rest, (Ellipsis, slice(None, -1)) + rest
 
 
-def _empty(shape: tuple, like: np.ndarray) -> np.ndarray:
-    return np.empty(shape, np.result_type(like, 1.0))
+def _cell_diffs(psi: np.ndarray, ax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, backward) difference of each cell along the (negative) axis
+    ax, psi(j+1) - psi(j) and psi(j) - psi(j-1): two views of the N + 1
+    differences of one copy of psi padded with its periodic neighbours
+    psi(-1) and psi(N). The subtraction runs in psi's dtype; integers come
+    out as floats."""
+    pad = psi.take(_wrap_index(psi.shape[ax]), axis=ax, mode="wrap")
+    nxt, prv = _shifted(ax)
+    both = np.subtract(pad[nxt], pad[prv])
+    if both.dtype.kind not in "fc":
+        both = both.astype(float)
+    return both[nxt], both[prv]
 
 
 def forward_diff(psi: np.ndarray, grid: GridSpec, k: int = 0) -> np.ndarray:
     """Forward difference along spatial axis k: psi(j+1) - psi(j), periodic."""
-    ax = _check_axis(grid, k)
-    return _neighbour_op(np.subtract, psi, ax, _empty(psi.shape, psi), True)
+    return _cell_diffs(psi, _check_axis(grid, k))[0]
 
 
 def backward_diff(psi: np.ndarray, grid: GridSpec, k: int = 0) -> np.ndarray:
     """Backward difference along spatial axis k: psi(j) - psi(j-1), periodic."""
-    ax = _check_axis(grid, k)
-    return _neighbour_op(np.subtract, psi, ax, _empty(psi.shape, psi), False)
-
-
-def _centered(psi: np.ndarray, grid: GridSpec, k: int, out: np.ndarray,
-              work: np.ndarray) -> np.ndarray:
-    """(backward + forward)/(2 dx) along axis k into out. The backward difference
-    at j is the forward one at j-1, so one forward difference, in work, gives both."""
-    ax = _check_axis(grid, k)
-    _neighbour_op(np.add, _neighbour_op(np.subtract, psi, ax, work, True), ax, out, False)
-    out /= 2.0 * grid.dx
-    return out
+    return _cell_diffs(psi, _check_axis(grid, k))[1]
 
 
 def centered_diff(psi: np.ndarray, grid: GridSpec, k: int = 0) -> np.ndarray:
     """Centered difference quotient along axis k: (backward + forward)/(2 dx)."""
-    return _centered(psi, grid, k, _empty(psi.shape, psi), _empty(psi.shape, psi))
+    out = np.add(*_cell_diffs(psi, _check_axis(grid, k)))
+    out /= 2.0 * grid.dx
+    return out
 
 
 def centered_gradient(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Centered gradient (backward + forward)/(2 dx), one component per axis
     on a new leading axis of length d."""
-    out = _empty((grid.d,) + psi.shape, psi)
-    work = _empty(psi.shape, psi)
+    out = np.empty((grid.d,) + psi.shape, np.result_type(psi, 1.0))
     for k in range(grid.d):
-        _centered(psi, grid, k, out[k], work)
+        np.add(*_cell_diffs(psi, _check_axis(grid, k)), out=out[k])
+    out /= 2.0 * grid.dx
     return out
 
 
 def discrete_laplacian(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Discrete Laplacian sum_k (forward - backward)/dx^2: along axis k, the
-    backward difference of the forward difference. For d >= 2 each axis after
-    the first allocates its term."""
-    out = _empty(psi.shape, psi)
-    work = _empty(psi.shape, psi)
+    """Discrete Laplacian sum_k (forward - backward)/dx^2."""
+    out = None
     for k in range(grid.d):
-        ax = _check_axis(grid, k)
-        fwd = _neighbour_op(np.subtract, psi, ax, work, True)
-        if k == 0:
-            _neighbour_op(np.subtract, fwd, ax, out, False)
+        term = np.subtract(*_cell_diffs(psi, _check_axis(grid, k)))
+        if out is None:
             # the sum starts from +0.0, which turns a -0.0 term into +0.0
-            out += 0.0
+            term += 0.0
+            out = term
         else:
-            out += backward_diff(fwd, grid, k)
+            out += term
     out /= grid.dx ** 2
     return out

@@ -16,14 +16,15 @@ The Hopf-Lax formula provides the continuous solution as an oracle.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cost import CostModel
-from .grid import (GridSpec, centered_gradient, default_monotone_radius,
-                   discrete_laplacian, forward_diff, viscosity_interval)
+from .grid import (GridSpec, _cell_diffs, centered_gradient, default_monotone_radius,
+                   discrete_laplacian, viscosity_interval)
 from .measures import wrap
 
 
@@ -61,18 +62,30 @@ def make_scheme(grid: GridSpec, cost: CostModel) -> SchemeParams:
 
 
 def scheme_step(psi: np.ndarray, params: SchemeParams) -> np.ndarray:
-    """One explicit step of the vanishing-viscosity scheme."""
+    """One explicit step of the vanishing-viscosity scheme, over any leading
+    batch axes of psi. The operations are those of the formula, in its order;
+    the result is formed in the Laplacian's buffer."""
     g = params.grid
-    grad = centered_gradient(psi, g)
-    return psi - g.dt * (params.cost.eval_H(grad) - g.eps * discrete_laplacian(psi, g))
+    h = params.cost.eval_H(centered_gradient(psi, g))
+    out = discrete_laplacian(psi, g)
+    out *= g.eps
+    np.subtract(h, out, out=out)
+    out *= g.dt
+    return np.subtract(psi, out, out=out)
 
 
 def solve_ivp(phi0: np.ndarray, params: SchemeParams) -> np.ndarray:
-    """Iterate the scheme N_T times; slice i of the output is Phi^i."""
+    """Iterate the scheme N_T times; slice i of the output is Phi^i.
+
+    phi0 may carry leading batch axes, (*batch, *space): the output is then
+    (N_T + 1, *batch, *space), and each batch member's trajectory equals its
+    own solve_ivp call bit for bit, since the scheme is elementwise across
+    them. Every member must be finite.
+    """
     g = params.grid
-    if not np.all(np.isfinite(phi0)):
+    if not np.isfinite(phi0).all():
         raise ValueError("initial data must be finite")
-    out = np.empty((g.N_T + 1,) + phi0.shape, dtype=float)
+    out = np.empty((g.N_T + 1,) + np.shape(phi0), dtype=float)
     out[0] = phi0
     for i in range(g.N_T):
         out[i + 1] = scheme_step(out[i], params)
@@ -101,10 +114,17 @@ def consistency_residual(params: SchemeParams, slope) -> float:
 
 
 def max_slope(psi: np.ndarray, grid: GridSpec) -> float:
-    """Largest one-sided difference quotient magnitude over all axes, or NaN."""
-    worst = np.max(np.abs(forward_diff(psi, grid, 0)))
-    for k in range(1, grid.d):
-        worst = np.maximum(worst, np.max(np.abs(forward_diff(psi, grid, k))))
+    """Largest one-sided difference quotient magnitude over all axes, or NaN.
+
+    psi may carry leading axes, a whole trajectory for instance: the result
+    is then the maximum over its slices, NaN if any slice holds a NaN.
+    """
+    worst = None
+    for ax in range(-grid.d, 0):
+        fwd = _cell_diffs(psi, ax)[0]
+        top = np.maximum.reduce(np.abs(fwd, out=fwd), axis=None)
+        # maximum, unlike max, keeps a NaN
+        worst = top if worst is None else np.maximum(worst, top)
     return float(worst) / grid.dx
 
 
@@ -112,45 +132,97 @@ def max_slope(psi: np.ndarray, grid: GridSpec) -> float:
 # evaluates: 64 cells, of which the two around the argmin are kept
 _ROUND = np.linspace(0.0, 1.0, 65)
 _SHRINK = (len(_ROUND) - 1) / 2
+# scan points hopf_lax evaluates per block of x, which bounds its memory
+_SCAN_BLOCK = 1 << 16
 
 
-def hopf_lax(phi0, t: float, x: float, cost: CostModel, grid: GridSpec) -> float:
+def hopf_lax(phi0, t: float, x, cost: CostModel, grid: GridSpec):
     """Viscosity solution phi(t, x) = inf_y phi0(y) + t L((x - y)/t).
 
-    phi0 is a callable on arrays of canonical torus coordinates. The
-    infimum is approximated by scanning displacements |x - y| <= lip_H(R) t
-    + dx (the maximal characteristic speed for slope-R data) on a grid 8
-    times finer than dx. The two cells around the best candidate are then
-    refined in rounds: each evaluates 65 evenly spaced points across the
-    bracket and keeps the two cells around their argmin, so the bracket
-    shrinks 32-fold. The round count is fixed from the initial bracket so
-    that it ends at 1e-10 or below, whatever the float spacing of y. The
-    smallest value evaluated is returned. Implemented for d = 1.
+    phi0 is an elementwise callable on arrays of canonical torus
+    coordinates. x is a float, which gives a float, or an array of points,
+    which gives an array of its shape. The infimum is approximated by
+    scanning displacements |x - y| <= lip_H(R) t + dx (the maximal
+    characteristic speed for slope-R data) on a grid 8 times finer than dx.
+    The two cells around the best candidate are then refined in rounds: each
+    evaluates 65 evenly spaced points across the bracket and keeps the two
+    cells around their argmin, so the bracket shrinks 32-fold. The round
+    count is fixed from the initial bracket so that it ends at 1e-10 or
+    below, whatever the float spacing of y. The smallest value evaluated is
+    returned. Each x keeps its own bracket and round count, so a value does
+    not depend on the other points of the array. The points are evaluated in
+    blocks of at most _SCAN_BLOCK scan points each. Implemented for d = 1.
     """
     if grid.d != 1:
         raise NotImplementedError("hopf_lax is implemented for d=1")
+    xs = np.asarray(x, dtype=float)
     if t <= 0.0:
-        return float(phi0(np.asarray(x)))
-    window = cost.lip_H(grid.R) * t + grid.dx
-    fine = grid.dx / 8
-    n = int(np.ceil(2.0 * window / fine)) + 1
+        return float(phi0(xs)) if xs.ndim == 0 else np.array(phi0(xs), dtype=float)
+    offsets = _scan_offsets(cost.lip_H(grid.R) * t + grid.dx, grid.dx / 8)
+    if xs.ndim == 0:
+        return float(_hopf_lax_rows(phi0, t, xs.reshape(1, 1), offsets, cost, grid.D)[0])
+    flat = xs.reshape(-1, 1)
+    out = np.empty(len(flat))
+    block = max(1, _SCAN_BLOCK // len(offsets))
+    for s in range(0, len(flat), block):
+        out[s:s + block] = _hopf_lax_rows(phi0, t, flat[s:s + block], offsets, cost, grid.D)
+    return out.reshape(xs.shape)
 
-    def value(yy):
-        return phi0(wrap(yy, grid.D)) + t * cost.eval_L((x - yy)[None, :] / t)
 
-    y = x + np.linspace(-window, window, n)
-    vals = value(y)
-    k = int(np.argmin(vals))
-    best = vals[k]
-    lo, hi = y[max(k - 1, 0)], y[min(k + 1, n - 1)]
-    rounds = max(0, math.ceil(math.log((hi - lo) / 1e-10, _SHRINK)))
-    for _ in range(rounds):
-        y = lo + (hi - lo) * _ROUND
-        vals = value(y)
-        k = int(np.argmin(vals))
-        best = min(best, vals[k])
-        lo, hi = y[max(k - 1, 0)], y[min(k + 1, len(y) - 1)]
-    return float(best)
+@functools.lru_cache(maxsize=8)
+def _scan_offsets(window: float, fine: float) -> np.ndarray:
+    """The displacements of hopf_lax's scan, -window to window at most fine
+    apart. Cached, because one-point calls at one t share them."""
+    offsets = np.linspace(-window, window, int(np.ceil(2.0 * window / fine)) + 1)
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _hopf_lax_rows(phi0, t, x, offsets, cost, D):
+    """hopf_lax's scan and refinement for the column of points x, (m, 1).
+
+    The scan and each round evaluate all their rows in one value call. Each
+    row's bracket is a column entry of lo and of its width w. The rows are
+    ordered by their round count, largest first, so the rows still refining
+    in a round are a leading block of the arrays.
+    """
+    def value(y):
+        return phi0(wrap(y, D)) + t * cost.eval_L((x[:len(y)] - y)[None] / t)
+
+    m = len(x)
+    best, lo, w = np.empty(m), np.empty((m, 1)), np.empty((m, 1))
+    y = x + offsets
+    _narrow(y, value(y), best, lo, w, True)
+    rounds = [max(0, math.ceil(math.log(v, _SHRINK))) for v in (w / 1e-10).ravel().tolist()]
+    order = sorted(range(m), key=rounds.__getitem__, reverse=True)
+    moved = order != list(range(m))
+    if moved:
+        x, best, lo, w = x[order], best[order], lo[order], w[order]
+        rounds = [rounds[i] for i in order]
+    live = m
+    for r in range(rounds[0]):
+        while rounds[live - 1] <= r:
+            live -= 1
+        y = lo[:live] + w[:live] * _ROUND
+        _narrow(y, value(y), best, lo, w, False)
+    if not moved:
+        return best
+    out = np.empty(m)
+    out[order] = best
+    return out
+
+
+def _narrow(y, vals, best, lo, w, first: bool) -> None:
+    """For each row i of y: the two cells around the argmin of vals[i] become
+    its bracket, lo[i] and width w[i], and best[i] takes the value there if
+    first or if it is smaller, as min(best, value) compares floats."""
+    last = y.shape[1] - 1
+    for i, j in enumerate(vals.argmin(axis=1).tolist()):
+        v = vals[i, j]
+        if first or v < best[i]:
+            best[i] = v
+        a, b = y[i, max(j - 1, 0)], y[i, min(j + 1, last)]
+        lo[i, 0], w[i, 0] = a, b - a
 
 
 def _draw_anchors(grid: GridSpec, radius: float, rng: np.random.Generator, count: int

@@ -220,6 +220,24 @@ def test_sigma_update_clamps_initial_gradient(quad):
     assert np.allclose(out.sigma_r, problem.R)  # 0.7 clipped to R = 0.5
 
 
+def test_sigma_update_clamps_as_np_clip_bitwise(quad):
+    problem = case_problem(2, 16, quad)
+    g = problem.grid
+    special = [np.nan, -0.0, 0.0, np.inf, -np.inf, problem.R, -problem.R, 5e-324, -1e-300]
+    rng = np.random.default_rng(36)
+    z_r = np.concatenate([special, rng.uniform(-1.0, 1.0, g.N_X - len(special))])
+    a_phi = SigmaVars(np.zeros((g.N_T, g.N_X)), np.zeros((1, g.N_T, g.N_X)),
+                      z_r.reshape(1, g.N_X).copy())
+    # adding Y = -0.0 leaves every bit of Z = A Phi + Y, -0.0 included
+    y = SigmaVars.zeros(g)
+    y.sigma_r[...] = -0.0
+    out = sigma_update(problem, a_phi, y, out=SigmaVars.zeros(g),
+                       **projection_scratch((g.N_T, g.N_X)))
+    assert a_phi.sigma_r.tobytes() == z_r.tobytes()
+    want = np.clip(z_r, -problem.R, problem.R).reshape(1, g.N_X)
+    assert out.sigma_r.tobytes() == want.tobytes()
+
+
 def random_sigma(g, rng):
     return SigmaVars(rng.standard_normal((g.N_T, g.N_X)),
                      rng.standard_normal((1, g.N_T, g.N_X)),

@@ -46,6 +46,22 @@ def test_quadratic_values(quad):
     assert quad.p == quad.q == 2.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cost_values_equal_the_np_sum_formulas_bitwise(d):
+    # the sums of squares reduce with np.add.reduce, or not at all for one
+    # component; both must equal np.sum's result bit for bit
+    rng = np.random.default_rng(d)
+    v = rng.standard_normal((d, 4, 9))
+    v[0, 0, :4] = [-0.0, 0.0, np.nan, np.inf]
+    quad, power = QuadraticCost(), PowerCost(3.0)
+    half_sum = 0.5 * np.sum(v ** 2, axis=0)
+    norm = np.sqrt(np.sum(v * v, axis=0))
+    for got, want in ((quad.eval_L(v), half_sum), (quad.eval_H(v), half_sum),
+                      (power.eval_L(v), norm ** power.p / power.p),
+                      (power.eval_H(v), norm ** power.q / power.q)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_project_feasible_identity(quad):
     s, w = project(quad, np.array(-1.0), np.array([0.0]))
     assert s == -1.0 and w[0] == 0.0

@@ -253,3 +253,114 @@ def test_stencils_equal_roll_reference(name, n, d, batch, clobber_input, strided
         psi[...] = np.nan
     got = np.stack(results) if name.endswith("_diff") else results[0]
     assert np.array_equal(got, want)
+
+
+# Reference formulation of the stencils: two ufunc calls per difference, one
+# over slices of the input and one over the wrap slab, into preallocated
+# buffers. The library's stencils, which difference one padded copy, must
+# match it bitwise.
+def _ref_neighbour_op(op, psi, ax, out, forward):
+    rest = (slice(None),) * (-ax - 1)
+    nxt, prv = (Ellipsis, slice(1, None)) + rest, (Ellipsis, slice(None, -1)) + rest
+    first, last = (Ellipsis, slice(0, 1)) + rest, (Ellipsis, slice(-1, None)) + rest
+    op(psi[nxt], psi[prv], out=out[prv if forward else nxt])
+    op(psi[first], psi[last], out=out[last if forward else first])
+    return out
+
+
+def _ref_empty(shape, like):
+    return np.empty(shape, np.result_type(like, 1.0))
+
+
+def _ref_forward_diff(psi, grid, k=0):
+    return _ref_neighbour_op(np.subtract, psi, k - grid.d, _ref_empty(psi.shape, psi), True)
+
+
+def _ref_backward_diff(psi, grid, k=0):
+    return _ref_neighbour_op(np.subtract, psi, k - grid.d, _ref_empty(psi.shape, psi), False)
+
+
+def _ref_centered(psi, grid, k, out, work):
+    ax = k - grid.d
+    _ref_neighbour_op(np.add, _ref_neighbour_op(np.subtract, psi, ax, work, True), ax, out,
+                      False)
+    out /= 2.0 * grid.dx
+    return out
+
+
+def _ref_centered_diff(psi, grid, k=0):
+    return _ref_centered(psi, grid, k, _ref_empty(psi.shape, psi), _ref_empty(psi.shape, psi))
+
+
+def _ref_centered_gradient(psi, grid):
+    out = _ref_empty((grid.d,) + psi.shape, psi)
+    work = _ref_empty(psi.shape, psi)
+    for k in range(grid.d):
+        _ref_centered(psi, grid, k, out[k], work)
+    return out
+
+
+def _ref_discrete_laplacian(psi, grid):
+    out = _ref_empty(psi.shape, psi)
+    work = _ref_empty(psi.shape, psi)
+    for k in range(grid.d):
+        ax = k - grid.d
+        fwd = _ref_neighbour_op(np.subtract, psi, ax, work, True)
+        if k == 0:
+            _ref_neighbour_op(np.subtract, fwd, ax, out, False)
+            out += 0.0
+        else:
+            out += _ref_backward_diff(fwd, grid, k)
+    out /= grid.dx ** 2
+    return out
+
+
+_REFERENCE = {forward_diff: _ref_forward_diff, backward_diff: _ref_backward_diff,
+              centered_diff: _ref_centered_diff}
+_WHOLE = {centered_gradient: _ref_centered_gradient,
+          discrete_laplacian: _ref_discrete_laplacian}
+
+
+def _same(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+def test_stencils_equal_the_two_call_formulation_bitwise(n, d, batch, dtype):
+    g = small_grid(N_X=n, d=d)
+    rng = np.random.default_rng(100 * d + 10 * n + len(batch))
+    psi = rng.standard_normal(batch + g.space_shape)
+    psi = (100 * psi).astype(dtype) if dtype is np.int64 else psi.astype(dtype)
+    for stencil, ref in _REFERENCE.items():
+        for k in range(d):
+            assert _same(stencil(psi, g, k), ref(psi, g, k)), (stencil.__name__, k)
+    for stencil, ref in _WHOLE.items():
+        assert _same(stencil(psi, g), ref(psi, g)), stencil.__name__
+
+
+def test_laplacian_turns_negative_zero_into_positive_zero():
+    # the difference of the forward differences at cell 0 is -0.0 - 0.0 = -0.0
+    for d in (1, 2):
+        g = small_grid(N_X=4, d=d)
+        psi = np.full(g.space_shape, -0.0)
+        psi[(0,) * d] = 0.0
+        lap = discrete_laplacian(psi, g)
+        assert _same(lap, _ref_discrete_laplacian(psi, g))
+        assert lap[(0,) * d] == 0.0 and not np.signbit(lap).any()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_constraint_matrix_is_unchanged_by_the_stencil_formulation(d, monkeypatch):
+    import hjot.transport as transport
+
+    g = small_grid(N_X=5, N_T=6, d=d)
+    new = transport.constraint_matrix(g)
+    for name, ref in (("forward_diff", _ref_forward_diff), ("centered_diff", _ref_centered_diff),
+                      ("discrete_laplacian", _ref_discrete_laplacian)):
+        monkeypatch.setattr(transport, name, ref)
+    old = transport.constraint_matrix(g)
+    for attr in ("data", "indices", "indptr"):
+        assert _same(getattr(new, attr), getattr(old, attr)), attr

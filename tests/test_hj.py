@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hjot.cost import QuadraticCost, make_cost
 from hjot.grid import GridSpec, forward_diff, make_grid
 from hjot.hj import (
     MonotoneReport,
@@ -91,6 +93,20 @@ def test_max_slope_keeps_nan(quad):
     assert np.isnan(max_slope(psi, g2))
 
 
+def test_max_slope_of_a_stacked_trajectory(quad):
+    for g in (make_grid(1, 1.0, 16, 16, quad), make_grid(2, 1.0, 16, 4, quad, R=0.5)):
+        params = make_scheme(g, quad)
+        traj = solve_ivp(random_cr_field(g, g.R, np.random.default_rng(3)), params)
+        per_slice = [max_slope(sl, g) for sl in traj]
+        assert max_slope(traj, g) == max(per_slice)
+        assert max_slope(traj[None], g) == max(per_slice)
+        # a NaN in any one slice makes the whole trajectory's slope NaN
+        for i in (0, len(traj) // 2, len(traj) - 1):
+            bad = traj.copy()
+            bad[(i,) + (1,) * g.d] = np.nan
+            assert np.isnan(max_slope(bad, g))
+
+
 def test_solve_ivp_is_iterated_step(params4):
     phi0 = np.array([0.0, 0.1, 0.0, -0.1])
     out = solve_ivp(phi0, params4)
@@ -105,6 +121,27 @@ def test_solve_ivp_is_iterated_step(params4):
 def test_solve_ivp_rejects_nan(params4):
     with pytest.raises(ValueError):
         solve_ivp(np.array([0.0, np.nan, 0.0, 0.0]), params4)
+
+
+def test_solve_ivp_over_a_batch_equals_single_calls_bitwise(quad):
+    g = make_grid(1, 1.0, 32, 32, quad)
+    params = make_scheme(g, quad)
+    rng = np.random.default_rng(5)
+    batch = np.stack([random_cr_field(g, g.R, rng) for _ in range(4)])
+    out = solve_ivp(batch, params)
+    assert out.shape == (g.N_T + 1, 4, g.N_X)
+    for b in range(4):
+        assert out[:, b].tobytes() == solve_ivp(batch[b], params).tobytes()
+    # two batch axes
+    grid_of_fields = batch.reshape(2, 2, g.N_X)
+    assert solve_ivp(grid_of_fields, params).tobytes() == out.tobytes()
+
+
+def test_solve_ivp_rejects_a_nan_in_one_batch_member(params4):
+    batch = np.zeros((3, 4))
+    batch[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        solve_ivp(batch, params4)
 
 
 def test_slope_bound_preserved_over_horizon(quad):
@@ -343,3 +380,70 @@ def test_hopf_lax_d2_unsupported(quad):
     g = make_grid(2, 1.0, 16, 4, quad, R=0.5)
     with pytest.raises(NotImplementedError):
         hopf_lax(lambda x: np.zeros(2), 0.5, 0.0, quad, g)
+
+
+_ROUND = np.linspace(0.0, 1.0, 65)
+
+
+def _hopf_lax_scalar_reference(phi0, t, x, cost, grid):
+    """Reference oracle for one point, in Python scalars: the scan, then
+    rounds of 65 points around the argmin."""
+    if t <= 0.0:
+        return float(phi0(np.asarray(x)))
+    window = cost.lip_H(grid.R) * t + grid.dx
+    n = int(np.ceil(2.0 * window / (grid.dx / 8))) + 1
+
+    def value(yy):
+        return phi0(wrap(yy, grid.D)) + t * cost.eval_L((x - yy)[None, :] / t)
+
+    y = x + np.linspace(-window, window, n)
+    vals = value(y)
+    k = int(np.argmin(vals))
+    best = vals[k]
+    lo, hi = y[max(k - 1, 0)], y[min(k + 1, n - 1)]
+    for _ in range(max(0, math.ceil(math.log((hi - lo) / 1e-10, 32.0)))):
+        y = lo + (hi - lo) * _ROUND
+        vals = value(y)
+        k = int(np.argmin(vals))
+        best = min(best, vals[k])
+        lo, hi = y[max(k - 1, 0)], y[min(k + 1, len(y) - 1)]
+    return float(best)
+
+
+def _c08_phi0(y):
+    return wrap(np.asarray(y, dtype=float)) ** 2 / 2.0
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_hopf_lax_over_an_array_equals_the_scalar_loop_bitwise(quad, n):
+    # the grids and initial data of acceptance check c08
+    g = make_grid(1, 1.0, n, n, quad)
+    x = g.spatial_nodes()
+    for t in (0.0, 1e-12, g.dt, 1.0):
+        got = hopf_lax(_c08_phi0, t, x, quad, g)
+        assert got.shape == x.shape
+        scalar = [hopf_lax(_c08_phi0, t, float(xj), quad, g) for xj in x]
+        assert all(isinstance(v, float) for v in scalar)
+        reference = [_hopf_lax_scalar_reference(_c08_phi0, t, float(xj), quad, g) for xj in x]
+        assert got.tobytes() == np.array(scalar).tobytes() == np.array(reference).tobytes(), t
+
+
+@pytest.mark.parametrize("cost", ["quadratic", "power:3"])
+def test_hopf_lax_points_keep_their_own_round_count(cost):
+    # at N = 64 a bracket of one scan cell takes one round less than one of
+    # two; phi0 steeper than R for y < 0 pins the argmin of the points there
+    # at the window's edge, so at t = 0.1 the first points refine for one
+    # round less than the last ones
+    c = make_cost(cost)
+    g = make_grid(1, 1.0, 64, 64, QuadraticCost())
+
+    def phi0(y):
+        y = wrap(np.asarray(y, dtype=float))
+        return np.where(y < 0, -5.0 * y, 0.0)
+
+    x = np.linspace(-0.4, 0.4, 23).reshape(1, 23)
+    for t in (0.1, 0.5):
+        got = hopf_lax(phi0, t, x, c, g)
+        assert got.shape == (1, 23)
+        reference = [_hopf_lax_scalar_reference(phi0, t, float(xj), c, g) for xj in x.ravel()]
+        assert got.ravel().tobytes() == np.array(reference).tobytes()

@@ -1,4 +1,4 @@
-"""Print a fingerprint of ten CLI runs: exit codes, stdout and artifacts, by hash.
+"""Print a fingerprint of eleven CLI runs: exit codes, stdout and artifacts, by hash.
 
 Usage (no flags; hjot is imported from PYTHONPATH):
 
@@ -38,6 +38,8 @@ RUNS = (
     ["verify-scheme", "--n", "128", "--trials", "1000"],
     ["verify-scheme", "--n", "64", "--trials", "1000", "--eps", "0"],
     ["hj-ivp", "--n", "16,32"],
+    # the oracle over arrays of x, where its scan window spans many cells
+    ["hj-ivp", "--n", "64"],
     # the scheme and the oracle with a power cost, which only they run with
     ["hj-ivp", "--n", "16,32", "--cost", "power:3"],
     ["solve", "--case", "9"],
