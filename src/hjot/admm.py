@@ -25,12 +25,12 @@ max_iters is reached, and balances r (Stepper.balance) in between.
 
 The Phi subproblem is a space-periodic elliptic system: the spatial FFT
 diagonalizes it into independent symmetric tridiagonal positive-definite
-systems in time (one per frequency), which are prefactored once with a
-tridiagonal LDL^T (LAPACK dpttrf). Each solve runs LAPACK zpttrs once, in
-place on one complex spectrum buffer that holds the frequencies one after
-the other. The zero frequency is singular with constant kernel and is
-pinned; the constant mode is anchored to mean zero on the zero-frequency
-coefficients.
+systems in time (one per frequency, read off the symbols of A's row
+blocks), which are prefactored once with a tridiagonal LDL^T (LAPACK
+dpttrf). Each solve runs LAPACK zpttrs once, in place on one complex
+spectrum buffer that holds the frequencies one after the other. The zero
+frequency is singular with constant kernel and is pinned; the constant
+mode is anchored to mean zero on the zero-frequency coefficients.
 """
 from __future__ import annotations
 
@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, zpttrs
 
+from . import transport
 from .grid import viscosity_interval
 from .transport import PrimalVars, SigmaVars, TransportProblem, objective_FD
 
@@ -103,18 +104,18 @@ class AdmmState:
 class SpectralPhiSolver:
     """Exact solver for A^T A Phi = b via spatial FFT + tridiagonal LDL^T.
 
-    For each spatial frequency theta the operator reduces to the
-    (N_T+1) x (N_T+1) real symmetric tridiagonal matrix
-
-        M(theta) = B^T B + |g|^2 diag(1..1,0) + |c|^2 e_0 e_0^T
-
-    with B bidiagonal (B[i,i] = -1/dt - eps*l(theta), B[i,i+1] = 1/dt),
-    l, g, c the symbols of the Laplacian, centered gradient and forward
-    quotient. M is positive definite except at theta = 0, whose kernel is
-    the constants; that block is replaced by pinning the first unknown.
-    All blocks are stacked into one tridiagonal system, factored once with
-    LAPACK pttrf (L D L^T) and reused across iterations (the factor does not
-    depend on the penalty r).
+    For each spatial frequency theta, A^T A reduces to a real symmetric
+    tridiagonal (N_T+1) x (N_T+1) matrix M(theta), summed over the row
+    blocks of transport.row_blocks. A block whose rows of slice i read
+    unknowns i and i + 1 through the symbols sigma_0 and sigma_1, with
+    sigma_s(theta) the sum of w e^{i o theta_k} over its entries (step s,
+    axis k, offset o, weight w), adds |sigma_0|^2 and |sigma_1|^2 to the
+    diagonal at i and i + 1 and Re(conj(sigma_0) sigma_1), real for A's time
+    quotient, to their coupling. M is positive definite except at theta = 0,
+    whose kernel is the constants; that block is replaced by pinning the
+    first unknown. All blocks are stacked into one tridiagonal system,
+    factored once with LAPACK pttrf (L D L^T) and reused across iterations
+    (the factor does not depend on the penalty r).
     """
 
     def __init__(self, grid):
@@ -128,27 +129,18 @@ class SpectralPhiSolver:
         # rfftn layout: full frequencies on the leading spatial axes,
         # nonnegative frequencies on the last
         freq_shape = (grid.N_X,) * (grid.d - 1) + (grid.N_X // 2 + 1,)
-        thetas = np.meshgrid(*[
-            2.0 * np.pi * np.arange(sz) / grid.N_X for sz in freq_shape
-        ], indexing="ij")
-        lam_sym = np.zeros(freq_shape)
-        g2 = np.zeros(freq_shape)
-        for th in thetas:
-            lam_sym += (2.0 * np.cos(th) - 2.0) / grid.dx ** 2
-            g2 += (np.sin(th) / grid.dx) ** 2
-        c2 = -lam_sym  # |e^{i th} - 1|^2 / dx^2 summed over axes
-        F = int(np.prod(freq_shape))
-        beta = (-1.0 / grid.dt - grid.eps * lam_sym).reshape(F)
-        gamma = 1.0 / grid.dt
-        g2 = g2.reshape(F)
-        c2 = c2.reshape(F)
-
-        diag = np.zeros((F, n))
-        off = np.zeros((F, n))  # off[f, i] couples unknowns i-1 and i
-        diag[:, :-1] += beta[:, None] ** 2 + g2[:, None]
-        diag[:, 1:] += gamma ** 2
-        diag[:, 0] += c2
-        off[:, 1:] = (beta * gamma)[:, None]
+        thetas = [th.ravel() for th in np.meshgrid(
+            *(2.0 * np.pi * np.arange(sz) / grid.N_X for sz in freq_shape), indexing="ij")]
+        F = thetas[0].size
+        diag, off = np.zeros((2, F, n))  # off[f, i] couples unknowns i-1 and i
+        for lead, terms in transport.row_blocks(grid):
+            sym = np.zeros((2, F), dtype=complex)  # on unknowns i and i + 1
+            for step, k, o, w in terms:
+                sym[step] += w * np.exp(1j * o * thetas[k])
+            s0, s1 = sym
+            diag[:, lead] += (s0.conj() * s0).real[:, None]
+            diag[:, lead + 1] += (s1.conj() * s1).real[:, None]
+            off[:, lead + 1] += (s0.conj() * s1).real[:, None]
         # theta = 0: kernel is the constants; pin the first unknown
         diag[0, 0] = 1.0
         off[0, 1] = 0.0

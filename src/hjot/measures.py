@@ -152,6 +152,8 @@ def dirac(x0: float) -> AnalyticMeasure:
 def _atom_index(x: float, grid: GridSpec) -> tuple[int, ...]:
     # half-open box membership: j = floor(x/dx + 1/2) mod N_X per axis
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(xs)):  # the int cast would pick an arbitrary cell
+        raise ValueError(f"atom at non-finite location {x!r}")
     js = np.floor(xs / grid.dx + 0.5).astype(int) % grid.N_X
     return tuple(int(j) for j in js)
 

@@ -103,29 +103,36 @@ def _stencil_row(stencil, grid: GridSpec) -> list[tuple[int, float]]:
     return sorted(row, key=lambda entry: entry[0] - n * (2 * entry[0] > n))
 
 
+def row_blocks(grid: GridSpec) -> list[tuple[np.ndarray, list[tuple[int, int, int, float]]]]:
+    """A's row blocks in SigmaVars' order (A_t, then A_x and A_R per axis):
+    the one definition of A, read by its matrix and by the potential
+    solver's symbols. A block is (the time slice i of each group of rows,
+    the (time step, axis, offset, weight) of each entry of a row): the row
+    of slice i at cell j weighs the cell offset steps ahead of j along
+    axis, in slice i + time step. The time quotient's two entries come last
+    and next to each other, so a constant potential maps to exactly zero.
+    """
+    lap, cen, fwd = (_stencil_row(f, grid) for f in
+                     (discrete_laplacian, centered_diff, forward_diff))
+    slices, axes = np.arange(grid.N_T), range(grid.d)
+    time_terms = [(0, k, o, -grid.eps * w) for k in axes for o, w in lap]
+    time_terms += [(0, 0, 0, -1.0 / grid.dt), (1, 0, 0, 1.0 / grid.dt)]
+    return ([(slices, time_terms)]
+            + [(slices, [(0, k, o, w) for o, w in cen]) for k in axes]
+            + [(np.zeros(1, int), [(0, k, o, w / grid.dx) for o, w in fwd]) for k in axes])
+
+
 def constraint_matrix(grid: GridSpec) -> csr_array:
     """A = (A_t, A_x, A_R) as one CSR matrix, written into its final arrays.
 
     Columns follow a Q_D potential in C order; rows follow the flat buffer
-    of SigmaVars. Every row of a block holds one entry per stencil term,
-    so a row of A_t names its diagonal d + 1 times; products sum such
-    entries.
+    of SigmaVars, block by block of row_blocks. Every row of a block holds
+    one entry per term, so a row of A_t names its diagonal d + 1 times;
+    products sum such entries.
     """
     S = int(np.prod(grid.space_shape))
     cells = np.arange(S).reshape(grid.space_shape)
-    lap, cen, fwd = (_stencil_row(f, grid) for f in
-                     (discrete_laplacian, centered_diff, forward_diff))
-    # blocks of rows: (first column of each group of S rows, the (time step,
-    # axis, offset, weight) of each entry of a row). The time quotient's two
-    # entries come last and next to each other, so a constant potential
-    # maps to exactly zero.
-    slices, axes = np.arange(grid.N_T) * S, range(grid.d)
-    time_terms = [(0, k, o, -grid.eps * w) for k in axes for o, w in lap]
-    time_terms += [(0, 0, 0, -1.0 / grid.dt), (1, 0, 0, 1.0 / grid.dt)]
-    blocks = [(slices, time_terms)]
-    blocks += [(slices, [(0, k, o, w) for o, w in cen]) for k in axes]
-    blocks += [(np.zeros(1, int), [(0, k, o, w / grid.dx) for o, w in fwd]) for k in axes]
-
+    blocks = row_blocks(grid)
     n_rows = sum(len(lead) * S for lead, _ in blocks)
     nnz = sum(len(lead) * S * len(terms) for lead, terms in blocks)
     index = np.int32 if max(nnz, (grid.N_T + 1) * S) < 2 ** 31 else np.int64
@@ -138,9 +145,8 @@ def constraint_matrix(grid: GridSpec) -> csr_array:
         cols = indices[pos:pos + count * width].reshape(len(lead), S, width)
         vals = data[pos:pos + count * width].reshape(count, width)
         for t, (step, k, o, weight) in enumerate(row_terms):
-            # the cell o steps ahead along axis k, in the slice step ahead
             ahead = np.roll(cells, -o, axis=k).ravel()
-            np.add((lead + step * S)[:, None], ahead, out=cols[:, :, t])
+            np.add(((lead + step) * S)[:, None], ahead, out=cols[:, :, t])
             vals[:, t] = weight
         ends = indptr[row + 1:row + count + 1]
         np.multiply(np.arange(1, count + 1, dtype=index), width, out=ends)

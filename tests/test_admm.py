@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import zpttrs
+from scipy.linalg.lapack import dpttrf, zpttrs
 
+from hjot import transport
 from hjot.admm import (
     BALANCE_RATIO,
     AdmmConfig,
@@ -114,6 +115,71 @@ def test_phi_update_matches_dense_least_squares(quad, d, n_x):
             - A.T @ (flatten_primal(lam) - r * flatten_sigma(sigma))
         dense, *_ = np.linalg.lstsq(r * (A.T @ A), rhs, rcond=None)
         dense = dense.reshape(phi.shape)
+        assert np.allclose(phi - phi.mean(), dense - dense.mean(), atol=1e-8)
+
+
+def closed_form_tridiagonal(g) -> tuple[np.ndarray, np.ndarray]:
+    """diag and off of the stacked M(theta) from A's symbols written out by
+    hand: M = B^T B + |g|^2 diag(1..1, 0) + |c|^2 e_0 e_0^T, with B
+    bidiagonal (B[i,i] = -1/dt - eps l, B[i,i+1] = 1/dt) and l, g, c the
+    symbols of the Laplacian, centered gradient and forward quotient."""
+    freq_shape = (g.N_X,) * (g.d - 1) + (g.N_X // 2 + 1,)
+    thetas = np.meshgrid(*[2.0 * np.pi * np.arange(sz) / g.N_X for sz in freq_shape],
+                         indexing="ij")
+    lap = sum((2.0 * np.cos(th) - 2.0) / g.dx ** 2 for th in thetas).ravel()
+    g2 = sum((np.sin(th) / g.dx) ** 2 for th in thetas).ravel()
+    c2 = -lap  # |e^{i th} - 1|^2 / dx^2 summed over axes
+    beta, gamma = -1.0 / g.dt - g.eps * lap, 1.0 / g.dt
+    diag = np.zeros((lap.size, g.N_T + 1))
+    off = np.zeros_like(diag)
+    diag[:, :-1] += beta[:, None] ** 2 + g2[:, None]
+    diag[:, 1:] += gamma ** 2
+    diag[:, 0] += c2
+    off[:, 1:] = (beta * gamma)[:, None]
+    diag[0, 0], off[0, 1] = 1.0, 0.0  # the pin at theta = 0
+    return diag, off
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n_x", [1, 2, 3, 4, 5, 8, 9])
+def test_phi_solver_factors_match_the_closed_form_symbols(d, n_x):
+    # at N_X <= 2 the row blocks hold coincident neighbours summed, and the
+    # centered difference vanishes, where the closed form has sin(pi) ~ 1e-16
+    for n_t in (1, 2, 6):
+        g = GridSpec(d=d, D=1.0, N_T=n_t, N_X=n_x, eps=0.01, R=0.5)
+        diag, off = closed_form_tridiagonal(g)
+        d_ref, e_ref, info = dpttrf(diag.ravel(), off.ravel()[1:])
+        assert info == 0
+        solver = SpectralPhiSolver(g)
+        np.testing.assert_allclose(solver.d_fac, d_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(solver.e_fac, e_ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d,n_x", [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)])
+def test_a_weight_on_a_row_block_reaches_the_matrix_and_the_solver(monkeypatch, d, n_x):
+    # the A_x rows scaled by 1/4 in row_blocks alone: the potential solve
+    # must then be least squares on the weighted matrix
+    g = GridSpec(d=d, D=1.0, N_T=2, N_X=n_x, eps=0.05, R=0.5)
+    plain_blocks, plain = transport.row_blocks, transport.constraint_matrix(g).toarray()
+
+    def weighted_blocks(grid):
+        return [(lead, [(s, k, o, w / 4.0 if 1 <= b <= grid.d else w)
+                        for s, k, o, w in terms])
+                for b, (lead, terms) in enumerate(plain_blocks(grid))]
+
+    monkeypatch.setattr(transport, "row_blocks", weighted_blocks)
+    A = transport.constraint_matrix(g).toarray()
+    x_rows = slice(g.N_T * g.N_X ** d, (1 + d) * g.N_T * g.N_X ** d)
+    assert np.array_equal(A[x_rows], plain[x_rows] / 4.0)
+    shape = (g.N_T + 1,) + g.space_shape
+    rng = np.random.default_rng(39)
+    solver = SpectralPhiSolver(g)
+    for _ in range(3):
+        y, z = rng.standard_normal((2, A.shape[0]))
+        phi = phi_update(solver, (A.T @ y).reshape(shape), (A.T @ z).reshape(shape),
+                         out=np.empty(shape))
+        dense, *_ = np.linalg.lstsq(A, y + z, rcond=None)  # A^T A phi = A^T (y + z)
+        dense = dense.reshape(shape)
         assert np.allclose(phi - phi.mean(), dense - dense.mean(), atol=1e-8)
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hjot.grid import GridSpec
 from hjot.measures import (
     DEFAULT_W,
+    AnalyticMeasure,
     box,
     build_test_case,
     cosine,
@@ -53,6 +54,19 @@ def test_project_dirac_within_half_cell():
             j = int(np.argmax(pi.weights))
             dist = abs(wrap(x0 - j * g.dx))
             assert dist <= g.dx / 2 + 1e-12
+
+
+@pytest.mark.parametrize("x0", [np.nan, -np.inf, np.inf])
+def test_project_rejects_an_atom_at_a_non_finite_location(x0):
+    # the int cast of floor(x0/dx + 1/2) used to put such an atom in an
+    # arbitrary cell (cells 1, 2 and 0 at N_X = 3, 5 and 8), with only a
+    # RuntimeWarning
+    for n in (3, 5, 8):
+        with pytest.raises(ValueError, match=f"non-finite location {x0!r}"):
+            project_measure(dirac(x0), grid_1d(n))
+    mixed = AnalyticMeasure("atoms", atoms=((0.25, 0.5), (x0, 0.5)))
+    with pytest.raises(ValueError, match="non-finite location"):
+        project_measure(mixed, grid_1d(8))
 
 
 def test_project_box_hand_weights():

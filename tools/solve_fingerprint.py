@@ -13,19 +13,24 @@ iteration count, the final penalty r, the stop reason, K_D, the final dual
 objective F_D, the error metrics eps_v and eps_rho, the last dual residual
 and next to it the exact |A^T Lambda - F_D|_2 of the returned Lambda (all
 repr; the solver carries the dual residual across iterations, so a drift of
-it shows as a gap between the two), and the
-SHA-256 of the raw bytes of phi, of the three Lambda arrays, of the three
-Sigma arrays and of the two residual histories. Two trees that print the same lines after the first compute
-bitwise-identical solves; two trees whose solves differ in rounding are
-compared by the iteration counts, K_D and F_D values; a change to the error
-metrics alone shows in eps_v and eps_rho.
+it shows as a gap between the two), and the SHA-256 of the raw bytes of
+phi, of the three Lambda arrays, of the three Sigma arrays, of the two
+residual histories, of the data, indices and indptr of the constraint
+matrix A and of the factors d_fac and e_fac of the potential solver
+(hjot.admm.SpectralPhiSolver) on the instance's grid. Two trees that print
+the same lines after the first compute bitwise-identical solves; two trees
+whose solves differ in rounding are compared by the iteration counts, K_D
+and F_D values; a change to the error metrics alone shows in eps_v and
+eps_rho; a change to A shows in its three hashes, apart from a change to
+the solver's symbols, which shows in the factors' hashes alone.
 
 With --against FILE, a saved output of this script, it prints instead one
 line per instance comparing this run with FILE under README's numerical
 gate: iters, r_final and stop_reason equal, K_D and F_D within GATE_RTOL
-relative. Each hash is reported as equal or different; a different hash is
-not a breach. It exits 1 if an instance breaches the gate or is missing
-from FILE, and 0 otherwise.
+relative. Each hash is reported as equal, different or not in FILE (an
+output of an older version of this script); none of these is a breach. It
+exits 1 if an instance breaches the gate or is missing from FILE, and 0
+otherwise.
 """
 import argparse
 import hashlib
@@ -34,6 +39,7 @@ import sys
 import numpy as np
 
 import hjot
+from hjot.admm import SpectralPhiSolver
 from hjot.bench import solve_instance
 
 INSTANCES = ((2, 64), (3, 64), (1, 128), (1, 192), (1, 32), (2, 32), (3, 32), (1, 64))
@@ -65,6 +71,9 @@ def fingerprint():
                    zip(("sigma_t", "sigma_x", "sigma_r"), state.sigma.parts())]
         arrays += [(name, np.asarray(getattr(state, name), dtype=float))
                    for name in ("primal_res", "dual_res")]
+        A, solver = problem.operator.matrix, SpectralPhiSolver(problem.grid)
+        arrays += [(f"A.{name}", getattr(A, name)) for name in ("data", "indices", "indptr")]
+        arrays += [(f"solver.{name}", getattr(solver, name)) for name in ("d_fac", "e_fac")]
         for name, x in arrays:
             yield f"  {name} {sha(x)}"
 
@@ -101,9 +110,11 @@ def compare(saved: dict, current: dict) -> bool:
             parts.append(f"{key} rel {rel:.1e}")
             if not rel <= GATE_RTOL:
                 breaches.append(f"{key} {old!r} -> {new!r}")
-        differ = [a for a in hashes if hashes[a] != old_hashes.get(a)]
-        parts.append(f"hashes {len(hashes) - len(differ)}/{len(hashes)} equal"
-                     + (f" (differ: {', '.join(differ)})" if differ else ""))
+        absent = [a for a in hashes if a not in old_hashes]
+        differ = [a for a in hashes if a in old_hashes and hashes[a] != old_hashes[a]]
+        parts.append(f"hashes {len(hashes) - len(differ) - len(absent)}/{len(hashes)} equal"
+                     + (f" (differ: {', '.join(differ)})" if differ else "")
+                     + (f" (not in FILE: {', '.join(absent)})" if absent else ""))
         verdict = "BREACH: " + "; ".join(breaches) if breaches else "ok"
         print(f"{name} {verdict}: {'; '.join(parts)}")
         ok &= not breaches
