@@ -83,12 +83,11 @@ class AdmmConfig:
 
 @dataclass
 class AdmmState:
-    """Split variable, residual histories and final F_D of one solve.
+    """Iteration count, residual histories, final F_D and r of one solve.
 
     solve returns Phi and Lambda next to the state, not in it.
     """
 
-    sigma: SigmaVars
     iters: int
     primal_res: list[float]
     dual_res: list[float]
@@ -351,6 +350,6 @@ def solve(problem: TransportProblem,
             f"ADMM did not converge in {config.max_iters} iterations "
             f"(primal {primal:.3e}, dual {dual:.3e})")
 
-    phi, lam, sigma = stepper.phi, stepper.lam, stepper.sigma
+    phi, lam = stepper.phi, stepper.lam
     fd = objective_FD(phi, problem.pi_mu, problem.pi_nu)
-    return phi, lam, AdmmState(sigma, it, primal_res, dual_res, fd, stepper.r, stop_reason)
+    return phi, lam, AdmmState(it, primal_res, dual_res, fd, stepper.r, stop_reason)

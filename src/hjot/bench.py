@@ -14,6 +14,7 @@ variation, so values are comparable across resolutions.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -116,8 +117,7 @@ def error_measure(lam: PrimalVars, sol, grid: GridSpec) -> float:
     """dt-weighted L^1 gap between projected analytic slices and Lambda_rho/dt."""
     total = 0.0
     for i in range(grid.N_T):
-        slice_mu = sol.slice_measure(i * grid.dt, grid.D)
-        pi_rho = project_measure(slice_mu, grid).weights
+        pi_rho = project_measure(sol.slice_measure(i * grid.dt), grid).weights
         total += float(np.sum(np.abs(pi_rho - lam.lambda_rho[i] / grid.dt)))
     return grid.dt * total
 
@@ -202,7 +202,11 @@ def run_sweep(case_id: int, resolutions, *, w: float | None = None,
 
     Non-converged solves keep their record but are excluded from fits.
     """
-    res = [int(n) for n in resolutions]
+    res = list(resolutions)
+    for n in res:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"resolutions must be integers, got {n!r}")
+    res = [int(n) for n in res]  # numpy integers become the records' plain ints
     if sorted(res) != res or len(set(res)) != len(res):
         raise ValueError("resolutions must be strictly ascending")
     build_test_case(case_id, w=w)  # validates case_id and w early

@@ -10,11 +10,15 @@ numpy arrays with the following shape conventions:
 - scalar field on Q'_D:     shape (N_T,   *spatial)   (last slice dropped)
 - vector fields carry a leading axis of length d
 
-All spatial operators act on the last d axes, so they broadcast over any
-leading time/batch axes. Index arithmetic is modulo N_X (periodic): along
-each axis a stencil makes one padded copy of the input, which holds the
-neighbours across the period at its ends, and forms its differences in one
-subtraction over two shifted slices of that copy.
+The scheme has three stencils, each acting on the whole field:
+discrete_laplacian (lap_D), centered_gradient (grad_D) and
+forward_gradient (fwd_D, plain differences); the gradients put one
+component per axis on a new leading axis of length d. They act on the
+last d axes, so they broadcast over any leading time/batch axes. Index
+arithmetic is modulo N_X (periodic): along each axis a stencil makes one
+padded copy of the input, which holds the neighbours across the period at
+its ends, and forms its differences in one subtraction over two shifted
+slices of that copy.
 
 Every stencil allocates its result, which shares no memory with the
 input. The arithmetic is that of the defining formulas, operation by
@@ -146,13 +150,6 @@ def make_grid(d: int, D: float, N_T: int, N_X: int, cost,
     return GridSpec(d=d, D=D, N_T=N_T, N_X=N_X, eps=eps, R=R)
 
 
-def _check_axis(grid: GridSpec, k: int) -> int:
-    if not 0 <= k < grid.d:
-        raise ValueError(f"axis {k} out of range for d={grid.d}")
-    # spatial axes are the trailing axes of the array
-    return k - grid.d
-
-
 @functools.lru_cache
 def _wrap_index(n: int) -> np.ndarray:
     """Indices -1, 0, ..., n; take(mode="wrap") reads -1 as n - 1 and n as 0."""
@@ -182,20 +179,12 @@ def _cell_diffs(psi: np.ndarray, ax: int) -> tuple[np.ndarray, np.ndarray]:
     return both[nxt], both[prv]
 
 
-def forward_diff(psi: np.ndarray, grid: GridSpec, k: int = 0) -> np.ndarray:
-    """Forward difference along spatial axis k: psi(j+1) - psi(j), periodic."""
-    return _cell_diffs(psi, _check_axis(grid, k))[0]
-
-
-def backward_diff(psi: np.ndarray, grid: GridSpec, k: int = 0) -> np.ndarray:
-    """Backward difference along spatial axis k: psi(j) - psi(j-1), periodic."""
-    return _cell_diffs(psi, _check_axis(grid, k))[1]
-
-
-def centered_diff(psi: np.ndarray, grid: GridSpec, k: int = 0) -> np.ndarray:
-    """Centered difference quotient along axis k: (backward + forward)/(2 dx)."""
-    out = np.add(*_cell_diffs(psi, _check_axis(grid, k)))
-    out /= 2.0 * grid.dx
+def forward_gradient(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Forward differences psi(j+1) - psi(j), one component per axis on a
+    new leading axis of length d."""
+    out = np.empty((grid.d,) + psi.shape, np.result_type(psi, 1.0))
+    for k, ax in enumerate(range(-grid.d, 0)):
+        out[k] = _cell_diffs(psi, ax)[0]
     return out
 
 
@@ -203,8 +192,8 @@ def centered_gradient(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Centered gradient (backward + forward)/(2 dx), one component per axis
     on a new leading axis of length d."""
     out = np.empty((grid.d,) + psi.shape, np.result_type(psi, 1.0))
-    for k in range(grid.d):
-        np.add(*_cell_diffs(psi, _check_axis(grid, k)), out=out[k])
+    for k, ax in enumerate(range(-grid.d, 0)):
+        np.add(*_cell_diffs(psi, ax), out=out[k])
     out /= 2.0 * grid.dx
     return out
 
@@ -212,8 +201,8 @@ def centered_gradient(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
 def discrete_laplacian(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Discrete Laplacian sum_k (forward - backward)/dx^2."""
     out = None
-    for k in range(grid.d):
-        term = np.subtract(*_cell_diffs(psi, _check_axis(grid, k)))
+    for ax in range(-grid.d, 0):
+        term = np.subtract(*_cell_diffs(psi, ax))
         if out is None:
             # the sum starts from +0.0, which turns a -0.0 term into +0.0
             term += 0.0

@@ -1,9 +1,11 @@
 """Analytic probability measures on the torus and their grid projections.
 
-Measures live on Omega = R^d/(D Z^d), described either by their cumulative
-mass on lifted coordinates or by a finite list of atoms. The grid
-projection assigns to node j the mass of the half-open box of edge dx
-centered at j*dx (left-closed, right-open along every axis).
+Measures are described either by their cumulative mass on lifted
+coordinates of the unit torus R/Z or by a finite list of atoms on the
+line. The grid projection, for d = 1, assigns to node j the mass of the
+half-open box of edge dx centered at j*dx (left-closed, right-open); a
+cumulative mass is projected only onto a grid of period D = 1, while
+atoms take the grid's period.
 
 The module also hosts the three benchmark transport problems between
 closed-form measure pairs, together with their exact optimizers
@@ -33,17 +35,15 @@ class AnalyticMeasure:
     """A probability measure given by its cumulative mass or by atoms.
 
     :param descriptor: short tag (uniform, cosine, triangle, ...)
-    :param cdf: vectorized cumulative mass F on lifted coordinates, or None:
-        F is nondecreasing on R and F(x + D) = F(x) + mass, so the mass of
-        [x0, x1) with x0 <= x1 <= x0 + D is F(x1) - F(x0)
+    :param cdf: vectorized cumulative mass F on lifted coordinates of the
+        unit torus, or None: F is nondecreasing on R and F(x + 1) = F(x) +
+        mass, so the mass of [x0, x1) with x0 <= x1 <= x0 + 1 is F(x1) - F(x0)
     :param atoms: list of (location, mass), or None
-    :param D: torus period
     """
 
     descriptor: str
     cdf: Callable[[np.ndarray], np.ndarray] | None = None
     atoms: tuple[tuple[float, float], ...] | None = None
-    D: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,9 @@ class AnalyticSolution:
     v: Callable[[float, np.ndarray], np.ndarray]
     phi: Callable[[float, np.ndarray], np.ndarray] | None
 
-    def slice_measure(self, t: float, D: float = 1.0) -> AnalyticMeasure:
+    def slice_measure(self, t: float) -> AnalyticMeasure:
         """The time-t interpolating measure as an AnalyticMeasure."""
-        return AnalyticMeasure(descriptor=f"rho(t={t:g})", cdf=lambda x: self.cdf(t, x), D=D)
+        return AnalyticMeasure(descriptor=f"rho(t={t:g})", cdf=lambda x: self.cdf(t, x))
 
 
 def _lifted(cdf_c):
@@ -116,13 +116,13 @@ def _cosine_cdf(w: float):
     return cdf
 
 
-def uniform(D: float = 1.0) -> AnalyticMeasure:
-    return AnalyticMeasure("uniform", cdf=lambda x: np.asarray(x, dtype=float) / D, D=D)
+def uniform() -> AnalyticMeasure:
+    return AnalyticMeasure("uniform", cdf=lambda x: np.asarray(x, dtype=float))
 
 
-def cosine(w: float, D: float = 1.0) -> AnalyticMeasure:
-    """Density 1 + cos(2 pi w x)/2; unit mass for integer w on D=1."""
-    return AnalyticMeasure("cosine", cdf=_cosine_cdf(w), D=D)
+def cosine(w: float) -> AnalyticMeasure:
+    """Density 1 + cos(2 pi w x)/2; unit mass for integer w."""
+    return AnalyticMeasure("cosine", cdf=_cosine_cdf(w))
 
 
 def triangle(w: float) -> AnalyticMeasure:
@@ -149,31 +149,32 @@ def dirac(x0: float) -> AnalyticMeasure:
     return AnalyticMeasure("dirac", atoms=((float(x0), 1.0),))
 
 
-def _atom_index(x: float, grid: GridSpec) -> tuple[int, ...]:
-    # half-open box membership: j = floor(x/dx + 1/2) mod N_X per axis
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(xs)):  # the int cast would pick an arbitrary cell
+def _atom_index(x: float, grid: GridSpec) -> int:
+    # half-open box membership: j = floor(x/dx + 1/2) mod N_X
+    x = float(x)
+    if not np.isfinite(x):  # the int cast would pick an arbitrary cell
         raise ValueError(f"atom at non-finite location {x!r}")
-    js = np.floor(xs / grid.dx + 0.5).astype(int) % grid.N_X
-    return tuple(int(j) for j in js)
+    return int(np.floor(x / grid.dx + 0.5)) % grid.N_X
 
 
 def project_measure(mu: AnalyticMeasure, grid: GridSpec) -> DiscreteMeasure:
-    """Project a measure onto the grid: weight(j) = mu(box centered at j dx).
+    """Project a measure onto a d = 1 grid: weight(j) = mu(box centered at j dx).
 
-    Atoms are assigned by half-open box membership. Otherwise each weight
-    is the difference of the cumulative mass at the box's two edges; the
-    N + 1 edges (j - 1/2) dx tile one period.
+    Atoms are assigned by half-open box membership, on the grid's period.
+    Otherwise each weight is the difference of the cumulative mass at the
+    box's two edges; the N + 1 edges (j - 1/2) dx tile one period, which
+    must be that of the cumulative mass, 1.
     """
+    if grid.d != 1:
+        raise NotImplementedError("measure projection is implemented for d=1")
     if mu.atoms is not None:
         weights = np.zeros(grid.space_shape)
         for x0, m in mu.atoms:
             weights[_atom_index(x0, grid)] += m
         return DiscreteMeasure(weights)
-    if grid.d != 1:
-        raise NotImplementedError("cumulative-mass projection is implemented for d=1")
-    if abs(mu.D - grid.D) > 1e-12 * grid.D:
-        raise ValueError("measure period does not match the grid")
+    if abs(grid.D - 1.0) > 1e-12:
+        raise ValueError(f"a cumulative mass lives on the unit torus; "
+                         f"the grid has period D = {grid.D!r}, not 1")
     weights = np.diff(mu.cdf((np.arange(grid.N_X + 1) - 0.5) * grid.dx))
     # the difference of a nondecreasing cdf can round slightly below zero
     weights[weights < 0] = 0.0

@@ -12,6 +12,10 @@ the initial slice, where
     A_x Phi(i) = grad_D Phi^i
     A_R Phi    = fwd_D Phi^0 / dx.
 
+lap_D, grad_D and fwd_D are the grid's discrete_laplacian,
+centered_gradient and forward_gradient; A_x and A_R have one row block
+per axis, as the gradients have one component per axis.
+
 The primal problem minimizes the kinetic action
 sum L(lam_m/lam_rho) lam_rho + R |lam_eta|_L1 over multipliers with
 A^T lam = F_D, lam_rho >= 0. Strong duality holds; at the optimum the
@@ -27,7 +31,7 @@ from scipy.sparse import csr_array
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .cost import CostModel, QuadraticCost
-from .grid import GridSpec, centered_diff, discrete_laplacian, forward_diff
+from .grid import GridSpec, centered_gradient, discrete_laplacian, forward_gradient
 from .measures import DiscreteMeasure
 
 
@@ -91,14 +95,15 @@ def _stencil_row(stencil, grid: GridSpec) -> list[tuple[int, float]]:
     """(offset, weight) of each entry of a row of the periodic stencil's
     matrix on one axis, backward neighbours first.
 
-    The stencil applied to the unit vector e_0 of the axis is column 0 of
-    its matrix: row i weighs cell 0, which lies -i cells ahead of it (mod
-    N_X). Neighbours that coincide (N_X <= 2) come out summed.
+    The stencil applied to the unit vector e_0 of a one-axis grid is column
+    0 of its matrix (a gradient's one component): row i weighs cell 0,
+    which lies -i cells ahead of it (mod N_X). Neighbours that coincide
+    (N_X <= 2) come out summed.
     """
     n = grid.N_X
     unit = np.zeros(n)
     unit[0] = 1.0
-    column = stencil(unit, replace(grid, d=1))
+    column = stencil(unit, replace(grid, d=1)).reshape(n)
     row = [(-int(i) % n, column[i]) for i in np.flatnonzero(column)]
     return sorted(row, key=lambda entry: entry[0] - n * (2 * entry[0] > n))
 
@@ -113,7 +118,7 @@ def row_blocks(grid: GridSpec) -> list[tuple[np.ndarray, list[tuple[int, int, in
     and next to each other, so a constant potential maps to exactly zero.
     """
     lap, cen, fwd = (_stencil_row(f, grid) for f in
-                     (discrete_laplacian, centered_diff, forward_diff))
+                     (discrete_laplacian, centered_gradient, forward_gradient))
     slices, axes = np.arange(grid.N_T), range(grid.d)
     time_terms = [(0, k, o, -grid.eps * w) for k in axes for o, w in lap]
     time_terms += [(0, 0, 0, -1.0 / grid.dt), (1, 0, 0, 1.0 / grid.dt)]

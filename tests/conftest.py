@@ -3,8 +3,9 @@
 The dense matrix here is assembled entry by entry from the index formulas,
 independently of the library's stencil code, so it can serve as an oracle
 for the operator tests in d = 1. In any d, stencil_apply and
-stencil_apply_transpose compose A and its adjoint from the grid stencils,
-slice by slice, as a reference for the library's sparse matrix.
+stencil_apply_transpose compose A and its adjoint from np.roll forms of the
+difference formulas, not from the grid stencils that build A, as a
+reference for the library's sparse matrix.
 
 The ADMM loop kernels (ConstraintOperator.apply and apply_transpose, and
 project_onto_K) write into buffers their caller passes; apply,
@@ -16,8 +17,6 @@ import pytest
 
 from hjot.bench import solve_instance
 from hjot.cost import QuadraticCost
-from hjot.grid import (backward_diff, centered_diff, centered_gradient, discrete_laplacian,
-                       forward_diff)
 from hjot.transport import SigmaVars
 
 
@@ -64,30 +63,45 @@ def dense_constraint_matrix(grid) -> np.ndarray:
     return np.array(rows)
 
 
+def _fwd(psi, ax):
+    return np.roll(psi, -1, axis=ax) - psi
+
+
+def _bwd(psi, ax):
+    return psi - np.roll(psi, 1, axis=ax)
+
+
+def _centered(psi, ax, grid):
+    return (_bwd(psi, ax) + _fwd(psi, ax)) / (2.0 * grid.dx)
+
+
+def _laplacian(psi, grid):
+    return sum(_fwd(psi, ax) - _bwd(psi, ax) for ax in range(-grid.d, 0)) / grid.dx ** 2
+
+
 def stencil_apply(grid, phi) -> np.ndarray:
-    """A phi from the stencils, flattened as flatten_sigma orders it."""
-    old = phi[:-1]
-    sigma_t = (phi[1:] - old) / grid.dt - grid.eps * discrete_laplacian(old, grid)
-    sigma_x = centered_gradient(old, grid)
-    sigma_r = np.stack([forward_diff(phi[0], grid, k) for k in range(grid.d)]) / grid.dx
+    """A phi from the difference formulas, flattened as flatten_sigma orders it."""
+    old, axes = phi[:-1], range(-grid.d, 0)
+    sigma_t = (phi[1:] - old) / grid.dt - grid.eps * _laplacian(old, grid)
+    sigma_x = np.stack([_centered(old, ax, grid) for ax in axes])
+    sigma_r = np.stack([_fwd(phi[0], ax) for ax in axes]) / grid.dx
     return np.concatenate([sigma_t.ravel(), sigma_x.ravel(), sigma_r.ravel()])
 
 
 def stencil_apply_transpose(grid, lam) -> np.ndarray:
-    """A^T lam from the adjoints of the stencils, as a Q_D field."""
+    """A^T lam from the adjoints of the difference formulas, as a Q_D field."""
     rho, m, eta = lam.lambda_rho, lam.lambda_m, lam.lambda_eta
     rate = rho / grid.dt
     out = np.zeros((grid.N_T + 1,) + grid.space_shape)
     # A_t^T: the adjoint of the time quotient plus the (self-adjoint)
     # viscosity term acting on the old slice
-    out[:-1] -= rate + grid.eps * discrete_laplacian(rho, grid)
+    out[:-1] -= rate + grid.eps * _laplacian(rho, grid)
     out[1:] += rate
-    # A_x^T: the centered gradient is skew-adjoint per component
-    for k in range(grid.d):
-        out[:-1] -= centered_diff(m[k], grid, k)
-    # A_R^T: adjoint of the forward quotient on the initial slice
-    for k in range(grid.d):
-        out[0] -= backward_diff(eta[k], grid, k) / grid.dx
+    for k, ax in enumerate(range(-grid.d, 0)):
+        # A_x^T: the centered difference is skew-adjoint
+        out[:-1] -= _centered(m[k], ax, grid)
+        # A_R^T: the adjoint of the forward difference is minus the backward one
+        out[0] -= _bwd(eta[k], ax) / grid.dx
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hjot.bench import (
     run_sweep,
 )
 from hjot.cli import atomic_write_text, records_to_csv, report_to_json
-from hjot.grid import make_grid
+from hjot.grid import GridSpec, make_grid
 from hjot.measures import build_test_case, project_measure
 from hjot.transport import PrimalVars
 
@@ -59,9 +60,20 @@ def grid4(quad):
 def exact_lam(sol, grid):
     lam = PrimalVars.zeros(grid)
     for i in range(grid.N_T):
-        pi = project_measure(sol.slice_measure(i * grid.dt, grid.D), grid)
+        pi = project_measure(sol.slice_measure(i * grid.dt), grid)
         lam.lambda_rho[i] = grid.dt * pi.weights
     return lam
+
+
+def test_error_measure_rejects_a_grid_of_another_period():
+    # the slices' cumulative mass has period 1; stamped with the grid's
+    # period D = 2, a case-2 slice used to project to mass 2.0 unnoticed
+    _, _, sol = build_test_case(2)
+    grid = GridSpec(d=1, D=2.0, N_T=4, N_X=8, eps=0.0, R=0.5)
+    with pytest.raises(ValueError, match="period D = 2.0, not 1"):
+        project_measure(sol.slice_measure(0.5), grid)
+    with pytest.raises(ValueError, match="period D = 2.0, not 1"):
+        error_measure(PrimalVars.zeros(grid), sol, grid)
 
 
 def test_error_measure_zero_on_exact_slices(grid4, quad):
@@ -209,3 +221,23 @@ def test_run_sweep_validates_input():
         run_sweep(1, [16, 16])
     with pytest.raises(ValueError):
         run_sweep(9, [16, 32])
+
+
+@pytest.mark.parametrize("bad", [8.7, 16.0, True, "16", None])
+def test_run_sweep_rejects_a_non_integral_resolution_before_solving(bad, monkeypatch):
+    # int(n) used to truncate [8.7, 16.2] to N = 8 and 16 and solve those
+    import hjot.bench as bench
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the resolutions were checked")
+
+    monkeypatch.setattr(bench, "solve_instance", no_solve)
+    with pytest.raises(ValueError, match=re.escape(f"resolutions must be integers, got {bad!r}")):
+        run_sweep(2, [4, bad])
+
+
+def test_run_sweep_takes_numpy_integers_as_plain_ints():
+    with pytest.warns(UserWarning, match="fewer than 3 usable resolutions"):
+        rep = run_sweep(2, np.array([8, 16]))
+    assert [type(r.N) for r in rep.records] == [int, int]
+    assert [r.N for r in rep.records] == [8, 16]

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from hjot.cost import QuadraticCost
-from hjot.grid import (GridSpec, backward_diff, centered_diff, centered_gradient,
-                       discrete_laplacian, forward_diff, make_grid)
+from hjot.grid import (GridSpec, _cell_diffs, centered_gradient, discrete_laplacian,
+                       forward_gradient, make_grid)
 
 
 def small_grid(N_X=4, N_T=4, d=1, eps=0.0625, R=0.5):
     return GridSpec(d=d, D=1.0, N_T=N_T, N_X=N_X, eps=eps, R=R)
+
+
+def backward_diffs(psi, grid):
+    """The backward differences psi(j) - psi(j-1) that the Laplacian and the
+    centered gradient sum, one component per axis as forward_gradient's."""
+    return np.stack([_cell_diffs(psi, ax)[1] for ax in range(-grid.d, 0)])
 
 
 def test_spec_derived_quantities(quad):
@@ -48,20 +54,20 @@ def test_gridspec_rejects_non_finite_fields():
 def test_forward_diff_hand_example():
     g = small_grid()
     psi = np.array([0.0, 1.0, 3.0, 2.0])
-    assert np.array_equal(forward_diff(psi, g), [1.0, 2.0, -1.0, -2.0])
+    assert np.array_equal(forward_gradient(psi, g), [[1.0, 2.0, -1.0, -2.0]])
 
 
 def test_backward_diff_hand_example():
     g = small_grid()
     psi = np.array([0.0, 1.0, 3.0, 2.0])
-    assert np.array_equal(backward_diff(psi, g), [-2.0, 1.0, 2.0, -1.0])
+    assert np.array_equal(backward_diffs(psi, g), [[-2.0, 1.0, 2.0, -1.0]])
 
 
 def test_diffs_kill_constants():
     g = small_grid(N_X=8)
     c = np.full(8, 3.7)
-    assert np.array_equal(forward_diff(c, g), np.zeros(8))
-    assert np.array_equal(backward_diff(c, g), np.zeros(8))
+    assert np.array_equal(forward_gradient(c, g), np.zeros((1, 8)))
+    assert np.array_equal(backward_diffs(c, g), np.zeros((1, 8)))
     assert np.array_equal(centered_gradient(c, g), np.zeros((1, 8)))
     assert np.array_equal(discrete_laplacian(c, g), np.zeros(8))
 
@@ -70,7 +76,7 @@ def test_backward_is_shifted_forward():
     g = small_grid(N_X=8)
     rng = np.random.default_rng(0)
     psi = rng.normal(size=8)
-    assert np.allclose(backward_diff(psi, g), np.roll(forward_diff(psi, g), 1))
+    assert np.array_equal(backward_diffs(psi, g), np.roll(forward_gradient(psi, g), 1, axis=-1))
 
 
 def test_forward_diff_linear_in_index():
@@ -78,7 +84,7 @@ def test_forward_diff_linear_in_index():
     g = small_grid(N_X=8)
     a = 0.3
     psi = a * np.arange(8)
-    out = forward_diff(psi, g)
+    out = forward_gradient(psi, g)[0]
     assert np.allclose(out[:-1], a)
 
 
@@ -86,7 +92,7 @@ def test_forward_diff_telescopes():
     g = small_grid(N_X=8)
     rng = np.random.default_rng(1)
     psi = rng.normal(size=8)
-    assert abs(forward_diff(psi, g).sum()) < 1e-12
+    assert abs(forward_gradient(psi, g).sum()) < 1e-12
 
 
 def test_centered_gradient_hand_example():
@@ -99,7 +105,7 @@ def test_centered_gradient_is_half_sum():
     g = small_grid(N_X=8)
     rng = np.random.default_rng(2)
     psi = rng.normal(size=8)
-    expected = (backward_diff(psi, g, 0) + forward_diff(psi, g, 0)) / (2.0 * g.dx)
+    expected = ((psi - np.roll(psi, 1)) + (np.roll(psi, -1) - psi)) / (2.0 * g.dx)
     assert np.array_equal(centered_gradient(psi, g)[0], expected)
 
 
@@ -133,12 +139,7 @@ def test_two_dimensional_stencils():
               + np.roll(psi, 1, 1) - 4 * psi) / g.dx ** 2
     assert np.allclose(lap, manual, atol=1e-12)
     assert centered_gradient(psi, g).shape == (2, 4, 4)
-
-
-def test_axis_out_of_range():
-    g = small_grid()
-    with pytest.raises(ValueError):
-        forward_diff(np.zeros(4), g, k=1)
+    assert forward_gradient(psi, g).shape == (2, 4, 4)
 
 
 @pytest.mark.parametrize("n_x", [3, 4, 8])
@@ -153,7 +154,7 @@ def test_adjoint_pairing(n_x, d):
     psi = rng.normal(size=sp)
     m = rng.normal(size=(d,) + sp)
     lhs = np.sum(centered_gradient(psi, g) * m)
-    rhs = -np.sum(psi * sum(centered_diff(m[k], g, k) for k in range(d)))
+    rhs = -np.sum(psi * sum(centered_gradient(m[k], g)[k] for k in range(d)))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     phi2 = rng.normal(size=sp)
@@ -162,8 +163,8 @@ def test_adjoint_pairing(n_x, d):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     eta = rng.normal(size=(d,) + sp)
-    lhs = sum(np.sum(forward_diff(psi, g, k) * eta[k]) for k in range(d))
-    rhs = -sum(np.sum(psi * backward_diff(eta[k], g, k)) for k in range(d))
+    lhs = np.sum(forward_gradient(psi, g) * eta)
+    rhs = -sum(np.sum(psi * backward_diffs(eta[k], g)[k]) for k in range(d))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -225,12 +226,10 @@ def _roll_reference(name, psi, g):
     return out / g.dx ** 2
 
 
-def _stencil(name, psi, g):
-    """The arrays the library stencil returns: one per axis for a difference."""
-    if name in ("forward_diff", "backward_diff"):
-        fn = forward_diff if name == "forward_diff" else backward_diff
-        return [fn(psi, g, k) for k in range(g.d)]
-    return [(centered_gradient if name == "centered_gradient" else discrete_laplacian)(psi, g)]
+# the forward and the backward differences along every axis, and the two
+# stencils that sum them
+_STENCILS = {"forward_diff": forward_gradient, "backward_diff": backward_diffs,
+             "centered_gradient": centered_gradient, "discrete_laplacian": discrete_laplacian}
 
 
 @pytest.mark.parametrize("name", ["forward_diff", "backward_diff",
@@ -246,12 +245,11 @@ def test_stencils_equal_roll_reference(name, n, d, batch, clobber_input, strided
     # the stencils read views, so a strided input must give the same values
     psi = rng.standard_normal(batch + g.space_shape + (2,))[..., 0] if strided \
         else rng.standard_normal(batch + g.space_shape)
-    results = _stencil(name, psi, g)
+    got = _STENCILS[name](psi, g)
     want = _roll_reference(name, psi, g)
     if clobber_input:
         # a stencil allocates its result: overwriting the input leaves it as it was
         psi[...] = np.nan
-    got = np.stack(results) if name.endswith("_diff") else results[0]
     assert np.array_equal(got, want)
 
 
@@ -272,12 +270,11 @@ def _ref_empty(shape, like):
     return np.empty(shape, np.result_type(like, 1.0))
 
 
-def _ref_forward_diff(psi, grid, k=0):
-    return _ref_neighbour_op(np.subtract, psi, k - grid.d, _ref_empty(psi.shape, psi), True)
-
-
-def _ref_backward_diff(psi, grid, k=0):
-    return _ref_neighbour_op(np.subtract, psi, k - grid.d, _ref_empty(psi.shape, psi), False)
+def _ref_forward_gradient(psi, grid):
+    out = _ref_empty((grid.d,) + psi.shape, psi)
+    for k in range(grid.d):
+        _ref_neighbour_op(np.subtract, psi, k - grid.d, out[k], True)
+    return out
 
 
 def _ref_centered(psi, grid, k, out, work):
@@ -286,10 +283,6 @@ def _ref_centered(psi, grid, k, out, work):
                       False)
     out /= 2.0 * grid.dx
     return out
-
-
-def _ref_centered_diff(psi, grid, k=0):
-    return _ref_centered(psi, grid, k, _ref_empty(psi.shape, psi), _ref_empty(psi.shape, psi))
 
 
 def _ref_centered_gradient(psi, grid):
@@ -310,15 +303,13 @@ def _ref_discrete_laplacian(psi, grid):
             _ref_neighbour_op(np.subtract, fwd, ax, out, False)
             out += 0.0
         else:
-            out += _ref_backward_diff(fwd, grid, k)
+            out += _ref_neighbour_op(np.subtract, fwd, ax, _ref_empty(psi.shape, psi), False)
     out /= grid.dx ** 2
     return out
 
 
-_REFERENCE = {forward_diff: _ref_forward_diff, backward_diff: _ref_backward_diff,
-              centered_diff: _ref_centered_diff}
-_WHOLE = {centered_gradient: _ref_centered_gradient,
-          discrete_laplacian: _ref_discrete_laplacian}
+_REFERENCE = {forward_gradient: _ref_forward_gradient, centered_gradient: _ref_centered_gradient,
+              discrete_laplacian: _ref_discrete_laplacian}
 
 
 def _same(got, want):
@@ -335,9 +326,6 @@ def test_stencils_equal_the_two_call_formulation_bitwise(n, d, batch, dtype):
     psi = rng.standard_normal(batch + g.space_shape)
     psi = (100 * psi).astype(dtype) if dtype is np.int64 else psi.astype(dtype)
     for stencil, ref in _REFERENCE.items():
-        for k in range(d):
-            assert _same(stencil(psi, g, k), ref(psi, g, k)), (stencil.__name__, k)
-    for stencil, ref in _WHOLE.items():
         assert _same(stencil(psi, g), ref(psi, g)), stencil.__name__
 
 
@@ -358,9 +346,8 @@ def test_constraint_matrix_is_unchanged_by_the_stencil_formulation(d, monkeypatc
 
     g = small_grid(N_X=5, N_T=6, d=d)
     new = transport.constraint_matrix(g)
-    for name, ref in (("forward_diff", _ref_forward_diff), ("centered_diff", _ref_centered_diff),
-                      ("discrete_laplacian", _ref_discrete_laplacian)):
-        monkeypatch.setattr(transport, name, ref)
+    for stencil, ref in _REFERENCE.items():
+        monkeypatch.setattr(transport, stencil.__name__, ref)
     old = transport.constraint_matrix(g)
     for attr in ("data", "indices", "indptr"):
         assert _same(getattr(new, attr), getattr(old, attr)), attr

@@ -69,6 +69,20 @@ def test_project_rejects_an_atom_at_a_non_finite_location(x0):
         project_measure(mixed, grid_1d(8))
 
 
+@pytest.mark.parametrize("mu", [dirac(0.25), uniform()], ids=lambda m: m.descriptor)
+def test_project_rejects_a_grid_of_more_than_one_axis(mu):
+    # an atom's location is one coordinate: on a d = 2 grid it used to fill
+    # a whole row of cells, mass 4.0 at N_X = 4
+    with pytest.raises(NotImplementedError, match="d=1"):
+        project_measure(mu, GridSpec(d=2, D=1.0, N_T=4, N_X=4, eps=0.0, R=0.5))
+
+
+def test_project_atoms_on_any_period():
+    # atoms take the grid's period, unlike a cumulative mass (test_bench)
+    g = GridSpec(d=1, D=2.0, N_T=4, N_X=8, eps=0.0, R=0.5)
+    assert np.array_equal(project_measure(dirac(0.6), g).weights, np.eye(8)[2])
+
+
 def test_project_box_hand_weights():
     # box of half-width 0.05 on a 16-cell grid: the center cell holds
     # 10 * 0.0625 and each neighbor the remaining 10 * 0.01875
@@ -215,8 +229,8 @@ def test_cdf_is_lifted_and_nondecreasing(mu):
         np.nextafter(_SEAMS, -np.inf), np.nextafter(_SEAMS, np.inf)]))
     F = mu.cdf(xs)
     assert np.all(np.diff(F) >= 0.0)
-    # F(x + D) = F(x) + mass, with unit mass
-    assert np.max(np.abs(mu.cdf(xs + mu.D) - F - 1.0)) <= 1e-12
+    # F(x + 1) = F(x) + mass, with unit mass
+    assert np.max(np.abs(mu.cdf(xs + 1.0) - F - 1.0)) <= 1e-12
 
 
 def test_invert_transport_map_trivials():

@@ -62,7 +62,7 @@ def test_apply_validates_shape(tiny_problem):
 
 # N_X <= 2 puts both periodic neighbours of a cell on one cell, whose
 # entries must then add up; d = 1 is checked against the dense index
-# formulas, d = 2 against the stencils composed slice by slice
+# formulas, d = 2 against their np.roll forms
 OPERATOR_GRIDS = pytest.mark.parametrize(
     "d, n_t, n_x", [(d, n_t, n_x) for d in (1, 2) for n_t in (1, 2) for n_x in (1, 2, 3, 4, 7)])
 

@@ -1,4 +1,4 @@
-"""Print a fingerprint of eleven CLI runs: exit codes, stdout and artifacts, by hash.
+"""Print a fingerprint of thirteen CLI runs: exit codes, stdout and artifacts, by hash.
 
 Usage (no flags; hjot is imported from PYTHONPATH):
 
@@ -30,6 +30,9 @@ from hjot.cli import main as cli_main
 
 RUNS = (
     ["solve", "--case", "2", "--n", "16"],
+    # case 1's slices go through invert_transport_map and slice_measure
+    ["solve", "--case", "1", "--n", "16"],
+    ["solve", "--case", "3", "--n", "16"],
     ["solve", "--case", "2", "--n", "16", "--max-iters", "5"],
     ["sweep", "--case", "2", "--n", "8,16"],
     ["verify-scheme", "--n", "16", "--trials", "100"],

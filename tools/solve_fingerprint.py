@@ -14,10 +14,13 @@ objective F_D, the error metrics eps_v and eps_rho, the last dual residual
 and next to it the exact |A^T Lambda - F_D|_2 of the returned Lambda (all
 repr; the solver carries the dual residual across iterations, so a drift of
 it shows as a gap between the two), and the SHA-256 of the raw bytes of
-phi, of the three Lambda arrays, of the three Sigma arrays, of the two
-residual histories, of the data, indices and indptr of the constraint
-matrix A and of the factors d_fac and e_fac of the potential solver
-(hjot.admm.SpectralPhiSolver) on the instance's grid. Two trees that print
+phi, of the three Lambda arrays, of the two residual histories, of the
+data, indices and indptr of the constraint matrix A and of the factors
+d_fac and e_fac of the potential solver (hjot.admm.SpectralPhiSolver) on
+the instance's grid. The split variable Sigma is not hashed: no solve
+returns it, and Phi and Lambda already fingerprint the trajectory (older
+outputs of this script hold three sigma.* hashes, which --against
+ignores). Two trees that print
 the same lines after the first compute bitwise-identical solves; two trees
 whose solves differ in rounding are compared by the iteration counts, K_D
 and F_D values; a change to the error metrics alone shows in eps_v and
@@ -67,8 +70,6 @@ def fingerprint():
         arrays = [("phi", out.phi)]
         arrays += [(f"lam.{name}", x) for name, x in
                    zip(("lambda_rho", "lambda_m", "lambda_eta"), out.lam.parts())]
-        arrays += [(f"sigma.{name}", x) for name, x in
-                   zip(("sigma_t", "sigma_x", "sigma_r"), state.sigma.parts())]
         arrays += [(name, np.asarray(getattr(state, name), dtype=float))
                    for name in ("primal_res", "dual_res")]
         A, solver = problem.operator.matrix, SpectralPhiSolver(problem.grid)
