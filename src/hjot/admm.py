@@ -21,7 +21,9 @@ buffer; its step() runs one iteration, with one A^T product, and returns
 the primal residual |A Phi - Sigma|_2 and the dual residual
 |F_D - A^T Lambda|_2. solve runs the loop: it steps until both are below
 stop_tol (the dual one confirmed exactly), a residual is not finite or
-max_iters is reached, and balances r (Stepper.balance) in between.
+max_iters is reached, and balances r (Stepper.balance) in between. It keeps
+the residuals of the last step only; those of every step are what step()
+returns.
 
 The Phi subproblem is a space-periodic elliptic system: the spatial FFT
 diagonalizes it into independent symmetric tridiagonal positive-definite
@@ -83,14 +85,15 @@ class AdmmConfig:
 
 @dataclass
 class AdmmState:
-    """Iteration count, residual histories, final F_D and r of one solve.
+    """Iteration count, last residuals, final F_D and r of one solve.
 
-    solve returns Phi and Lambda next to the state, not in it.
+    primal_res and dual_res are the residuals that the last Stepper.step()
+    returned. solve returns Phi and Lambda next to the state, not in it.
     """
 
     iters: int
-    primal_res: list[float]
-    dual_res: list[float]
+    primal_res: float
+    dual_res: float
     objective: float  # F_D of the returned Phi
     r_final: float
     stop_reason: str  # "converged", "max_iters" or "non_finite"
@@ -241,9 +244,7 @@ class Stepper:
     u = A^T Sigma and h = (F_D - A^T Lambda) / r are carried from step to
     step: by the Phi-step's optimality h_{k+1} = u_{k+1} - u_k, so a step
     runs one A^T product, on Sigma_{k+1}, into the older of two u buffers,
-    and r |h| is its dual residual. h lives in the head of the free
-    row-space buffer, which nothing reads between the step that writes h
-    and the A Phi of the next. refresh() recomputes h exactly; step()
+    and r |h| is its dual residual. refresh() recomputes h exactly; step()
     calls it before every REFRESH_INTERVAL-th Phi-step, so that rounding
     drift cannot build up. When balance() changes r it rescales y and h by
     r_old / r_new, which is 2 or 1/2, so Lambda = r y and F_D - A^T Lambda
@@ -259,11 +260,8 @@ class Stepper:
         self.problem, self.r, self._steps = problem, r, 0
         shape = (g.N_T + 1,) + g.space_shape
         self.phi, self.u, self._u_old = (np.zeros(shape) for _ in range(3))
+        self.h = problem.objective_data / r  # Lambda_0 = 0
         self.sigma, self.y, self._free = (SigmaVars.zeros(g) for _ in range(3))
-        # the head of each row-space buffer, as a Q_D field; h is that of the free one
-        self._h_of_y, self.h = (v.flat[:self.phi.size].reshape(shape)
-                                for v in (self.y, self._free))
-        np.divide(problem.objective_data, r, out=self.h)  # Lambda_0 = 0
         # the projection's scratch: six float arrays and a mask over sigma_t's cells
         self._work = tuple(np.empty(self.sigma.sigma_t.shape) for _ in range(6))
         self._mask = np.empty(self.sigma.sigma_t.shape, dtype=bool)
@@ -287,12 +285,11 @@ class Stepper:
         sigma_update(problem, z, y, out=self.sigma, work=self._work, mask=self._mask)
         lambda_update(z, self.sigma, y)
         primal = _norm(y.flat)
-        u_old, h = self.u, self._h_of_y
-        self.u = problem.operator.apply_transpose(self.sigma, out=self._u_old)
-        np.subtract(self.u, u_old, out=h)
-        self._u_old = u_old
-        self.y, self._free, self.h, self._h_of_y = z, y, h, self.h
-        return primal, self.r * _norm(h)
+        self.u, self._u_old = self._u_old, self.u
+        problem.operator.apply_transpose(self.sigma, out=self.u)
+        np.subtract(self.u, self._u_old, out=self.h)
+        self.y, self._free = z, y
+        return primal, self.r * _norm(self.h)
 
     def refresh(self) -> float:
         """Recompute h = (F_D - A^T Lambda) / r exactly; returns |F_D - A^T Lambda|_2."""
@@ -322,18 +319,15 @@ def solve(problem: TransportProblem,
 
     The run stops when both residuals reach stop_tol, after max_iters
     iterations, or as soon as a residual is not finite; state.stop_reason
-    names which. The residuals of every iteration are kept in
-    state.primal_res and dual_res; state.objective is F_D of the returned Phi.
+    names which. state.primal_res and dual_res are the residuals of the
+    last iteration; state.objective is F_D of the returned Phi.
     """
     if config is None:
         config = AdmmConfig()
     stepper = Stepper(problem, config.r)
-    primal_res, dual_res = [], []
     stop_reason = "max_iters"
     for it in range(1, config.max_iters + 1):
         primal, dual = stepper.step()
-        primal_res.append(primal)
-        dual_res.append(dual)
         if not (math.isfinite(primal) and math.isfinite(dual)):
             stop_reason = "non_finite"
             warnings.warn(f"ADMM stopped at iteration {it}: non-finite residual "
@@ -352,4 +346,4 @@ def solve(problem: TransportProblem,
 
     phi, lam = stepper.phi, stepper.lam
     fd = objective_FD(phi, problem.pi_mu, problem.pi_nu)
-    return phi, lam, AdmmState(it, primal_res, dual_res, fd, stepper.r, stop_reason)
+    return phi, lam, AdmmState(it, primal, dual, fd, stepper.r, stop_reason)

@@ -297,8 +297,8 @@ def cmd_solve(cfg: dict) -> int:
         "R": grid.R, "eps": grid.eps,
         "K_D": rec.K_D, "K_analytic": res.sol.cost, "duality_gap": rec.duality_gap,
         "iters": rec.iters, "converged": rec.converged,
-        "stop_reason": res.state.stop_reason, "r_final": res.state.r_final,
-        "primal_res": res.state.primal_res[-1], "dual_res": res.state.dual_res[-1],
+        "stop_reason": rec.stop_reason, "r_final": rec.r_final,
+        "primal_res": res.state.primal_res, "dual_res": res.state.dual_res,
         "errors": {"eps_K": rec.eps_K, "eps_phi": rec.eps_phi,
                    "eps_v": rec.eps_v, "eps_rho": rec.eps_rho},
     }
@@ -381,6 +381,8 @@ def cmd_verify_scheme(cfg: dict) -> int:
 
 def cmd_hj_ivp(cfg: dict) -> int:
     ns = parse_resolutions(cfg["n"])
+    if sorted(set(ns)) != ns:
+        raise ConfigError("resolutions must be strictly ascending")
     cost = make_cost(cfg["cost"])
 
     def phi0(x):

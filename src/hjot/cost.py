@@ -84,8 +84,10 @@ class QuadraticCost(CostModel):
         with a unique root lambda >= 0; the projection is
         (s, w) = (a - lambda, b / (1+lambda)). lambda is the root in closed
         form (_cubic_start) where that meets |g| <= ROOT_TOL; the cells it
-        misses are bisected (_bisect_root). Each cell's answer depends on
-        that cell alone, not on the others in the array.
+        misses are bisected (_bisect_root). An infeasible cell whose a or
+        |b|^2/2 is not finite (|b|^2 overflows, say) comes back NaN, as a
+        NaN a or b comes back NaN. Each cell's answer depends on that cell
+        alone, not on the others in the array.
 
         The closed form runs on whole arrays, feasible cells included, with
         no boolean indexing. On feasible cells lambda is then set to 0, so
@@ -125,7 +127,11 @@ class QuadraticCost(CostModel):
         if not g.max() <= ROOT_TOL:
             np.less_equal(g, ROOT_TOL, out=mask)
             np.logical_not(mask, out=mask)  # the cells the closed form misses
-            lam[mask] = _bisect_root(a[mask], half_b2[mask])
+            miss_a, miss_b2 = a[mask], half_b2[mask]
+            finite = np.isfinite(miss_a) & np.isfinite(miss_b2)  # the others stay NaN
+            miss_lam = np.full(miss_a.shape, np.nan)
+            miss_lam[finite] = _bisect_root(miss_a[finite], miss_b2[finite])
+            lam[mask] = miss_lam
             np.add(1.0, lam, out=opl)
             np.subtract(a, lam, out=s)
         np.divide(b, opl, out=w)

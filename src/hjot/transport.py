@@ -263,7 +263,10 @@ def primal_objective(lam: PrimalVars, R: float, cost: CostModel) -> float:
     Cells with rho below the support threshold contribute zero when their
     momentum is at most 1e-6 max(1, max|m|) and make the objective +inf
     otherwise (the lower-semicontinuous perspective). Masses below -1e-4 raise.
+    A Lambda with an entry that is not finite gives NaN.
     """
+    if not all(np.isfinite(x).all() for x in lam.parts()):
+        return math.nan
     rho = lam.lambda_rho
     if float(np.min(rho, initial=0.0)) < -1e-4:
         raise ValueError("infeasible mass signs in primal variables")

@@ -113,6 +113,17 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     assert summary["stop_reason"] == "max_iters"
 
 
+def test_solve_that_overflows_exits_2_with_its_artifacts(tmp_path):
+    # the first projection overflows; the solve stops with a named reason
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.warns(UserWarning, match="non-finite"):
+        code, out = run_solve(tmp_path, "tiny-r", ["--admm-r", "1e-200"])
+    assert code == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stop_reason"] == "non_finite" and summary["iters"] == 1
+    assert (out / "phi.csv").exists()
+
+
 def test_solve_zero_iteration_cap_exits_3(tmp_path, capsys):
     code, _ = run_solve(tmp_path, "none", ["--max-iters", "0"])
     assert code == 3
@@ -332,11 +343,13 @@ def test_config_resolved_has_no_seed(tmp_path, command):
     (["verify-scheme", "--n", "8", "--zeta", "inf"], "N_X=inf"),
     (["solve", "--case", "1", "--n", "8", "--param", "inf"], "nonzero integer w, got inf"),
     (["solve", "--case", "1", "--n", "8", "--param", "nan"], "nonzero integer w, got nan"),
+    (["hj-ivp", "--n", "16,16"], "strictly ascending"),
+    (["hj-ivp", "--n", "32,16"], "strictly ascending"),
 ], ids=["solve-case9", "solve-zeta", "sweep-case9", "verify-empty-interval",
         "solve-stop-tol-nan", "verify-trials0", "verify-trials-neg", "solve-clamp-R-nan",
         "solve-clamp-R-inf", "verify-clamp-R-inf",
         "verify-eps-nan", "solve-zeta-inf", "solve-zeta-1e308", "verify-zeta-inf",
-        "solve-param-inf", "solve-param-nan"])
+        "solve-param-inf", "solve-param-nan", "hj-ivp-repeated-n", "hj-ivp-descending-n"])
 def test_rejected_run_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 3

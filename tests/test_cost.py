@@ -210,6 +210,19 @@ def test_projection_of_a_cell_does_not_depend_on_its_neighbours(quad):
         assert si[0] == s[i] and wi[0, 0] == w[0, i], (a[i], b[i])
 
 
+@pytest.mark.parametrize("a0, b0", [(0.0, 1e200), (np.inf, 0.3), (np.inf, 1e200)],
+                         ids=["b-overflows", "a-inf", "both"])
+def test_projection_of_a_non_finite_cell_is_nan(quad, a0, b0):
+    # |b|^2/2 or a is not finite: the cell has no root to find and comes
+    # back NaN; the other cells keep the bits of a call on them alone
+    a, b = np.array([a0, 1.0, -2.0]), np.array([[b0, 0.5, 0.1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, w = project(quad, a, b)
+    assert np.isnan(s[0]) and np.isnan(w[0, 0])
+    rest = project(quad, a[1:], b[:, 1:])
+    assert np.array_equal(s[1:], rest[0]) and np.array_equal(w[:, 1:], rest[1])
+
+
 def test_cells_the_closed_form_misses_match_the_oracle_bitwise(quad):
     a, b = extreme_inputs(3000, seed=32)
     half_b2 = 0.5 * (b * b)

@@ -206,6 +206,21 @@ def test_primal_objective_rejects_negative_mass(quad):
         primal_objective(lam, g.R, quad)
 
 
+@pytest.mark.parametrize("field, index, value", [
+    ("lambda_rho", (0, 0), math.nan),
+    ("lambda_m", (0, 1, 1), math.nan),  # on an empty cell
+    ("lambda_eta", (0, 5), math.nan),
+    ("lambda_rho", (2, 3), math.inf),
+    ("lambda_m", (0, 2, 3), -math.inf),
+], ids=["rho-nan", "empty-cell-m-nan", "eta-nan", "rho-inf", "m-minus-inf"])
+def test_primal_objective_is_nan_for_a_non_finite_lambda(quad, field, index, value):
+    g = make_grid(1, 1.0, 16, 16, quad)
+    lam = zeros_lam(g)
+    lam.lambda_rho[2, 3] = 2.0
+    getattr(lam, field)[index] = value
+    assert math.isnan(primal_objective(lam, g.R, quad))
+
+
 def test_support_threshold_scales_with_mass(quad):
     g = make_grid(1, 1.0, 16, 16, quad)
     lam = zeros_lam(g)

@@ -1,4 +1,4 @@
-"""Print a fingerprint of thirteen CLI runs: exit codes, stdout and artifacts, by hash.
+"""Print a fingerprint of fifteen CLI runs: exit codes, stdout and artifacts, by hash.
 
 Usage (no flags; hjot is imported from PYTHONPATH):
 
@@ -7,9 +7,11 @@ Usage (no flags; hjot is imported from PYTHONPATH):
 The first line is the path of the imported hjot package. The runs below
 execute through hjot.cli.main in one fresh temporary directory, each with
 its own relative --out name, so no absolute path reaches stdout or an
-artifact. For each run it prints the exit code and the SHA-256 of stdout,
-and for the hj-ivp runs also the sup_error of each resolution (repr); then,
-sorted by file name, the SHA-256 of every artifact file the runs wrote.
+artifact. For each run it prints the exit code (1 for an exception that
+escapes hjot.cli.main, as the console script would exit; its traceback goes
+to stderr) and the SHA-256 of stdout, and for the hj-ivp runs that write
+ivp.json also the sup_error of each resolution (repr); then, sorted by file
+name, the SHA-256 of every artifact file the runs wrote.
 The wall_time column of records.csv and the wall_time values of
 report.json are masked before hashing, as the only outputs that change
 from run to run. Stderr is not hashed: warnings carry file paths. Two trees
@@ -24,6 +26,7 @@ import json
 import os
 import re
 import tempfile
+import traceback
 
 import hjot
 from hjot.cli import main as cli_main
@@ -46,6 +49,9 @@ RUNS = (
     # the scheme and the oracle with a power cost, which only they run with
     ["hj-ivp", "--n", "16,32", "--cost", "power:3"],
     ["solve", "--case", "9"],
+    # a penalty so small that |w|^2/2 overflows in the first projection
+    ["solve", "--case", "2", "--n", "16", "--admm-r", "1e-200"],
+    ["hj-ivp", "--n", "16,16"],
 )
 
 
@@ -79,11 +85,16 @@ def main() -> None:
                 argv = argv + ["--out", f"run{k}"]
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout):
-                    code = cli_main(argv)
+                    try:
+                        code = cli_main(argv)
+                    except Exception:
+                        traceback.print_exc()
+                        code = 1
                 print(f"{' '.join(argv)}: exit={code} "
                       f"stdout={sha(stdout.getvalue().encode())}")
-                if argv[0] == "hj-ivp":
-                    with open(os.path.join(f"run{k}", "ivp.json")) as f:
+                ivp = os.path.join(f"run{k}", "ivp.json")
+                if argv[0] == "hj-ivp" and os.path.exists(ivp):
+                    with open(ivp) as f:
                         for row in json.load(f)["rows"]:
                             print(f"  N={row['N']} sup_error={row['sup_error']!r}")
             paths = sorted(os.path.join(d, f) for d, _, files in os.walk(".")

@@ -10,17 +10,18 @@ N = 128 and N = 192) and the other instances of the gate in README,
 Determinism (cases 1-3 at N = 32, case 1 at N = 64), all with README
 defaults and solved as hjot.bench.solve_instance solves them, it prints the
 iteration count, the final penalty r, the stop reason, K_D, the final dual
-objective F_D, the error metrics eps_v and eps_rho, the last dual residual
-and next to it the exact |A^T Lambda - F_D|_2 of the returned Lambda (all
-repr; the solver carries the dual residual across iterations, so a drift of
-it shows as a gap between the two), and the SHA-256 of the raw bytes of
-phi, of the three Lambda arrays, of the two residual histories, of the
+objective F_D, the error metrics eps_v and eps_rho, the last primal and
+dual residuals and next to them the exact |A^T Lambda - F_D|_2 of the
+returned Lambda (all repr; the solver carries the dual residual across
+iterations, so a drift of it shows as a gap between the last two), and
+the SHA-256 of the raw bytes of phi, of the three Lambda arrays, of the
 data, indices and indptr of the constraint matrix A and of the factors
 d_fac and e_fac of the potential solver (hjot.admm.SpectralPhiSolver) on
 the instance's grid. The split variable Sigma is not hashed: no solve
-returns it, and Phi and Lambda already fingerprint the trajectory (older
-outputs of this script hold three sigma.* hashes, which --against
-ignores). Two trees that print
+returns it, and Phi and Lambda already fingerprint the trajectory. Older
+outputs of this script hold three sigma.* hashes and the primal_res and
+dual_res hashes of the residual histories that solves no longer keep;
+--against ignores them. Two trees that print
 the same lines after the first compute bitwise-identical solves; two trees
 whose solves differ in rounding are compared by the iteration counts, K_D
 and F_D values; a change to the error metrics alone shows in eps_v and
@@ -65,13 +66,11 @@ def fingerprint():
         yield (f"case{case}-N{N} iters={state.iters} r_final={state.r_final!r} "
                f"stop_reason={state.stop_reason} K_D={out.record.K_D!r} "
                f"F_D={state.objective!r} eps_v={out.record.eps_v!r} "
-               f"eps_rho={out.record.eps_rho!r} dual_last={state.dual_res[-1]!r} "
-               f"equality={equality!r}")
+               f"eps_rho={out.record.eps_rho!r} primal_last={state.primal_res!r} "
+               f"dual_last={state.dual_res!r} equality={equality!r}")
         arrays = [("phi", out.phi)]
         arrays += [(f"lam.{name}", x) for name, x in
                    zip(("lambda_rho", "lambda_m", "lambda_eta"), out.lam.parts())]
-        arrays += [(name, np.asarray(getattr(state, name), dtype=float))
-                   for name in ("primal_res", "dual_res")]
         A, solver = problem.operator.matrix, SpectralPhiSolver(problem.grid)
         arrays += [(f"A.{name}", getattr(A, name)) for name in ("data", "indices", "indptr")]
         arrays += [(f"solver.{name}", getattr(solver, name)) for name in ("d_fac", "e_fac")]
