@@ -3,7 +3,8 @@
 Conventions for the metrics, with Lambda_rho the raw primal mass (each
 time slice sums to dt):
 
-  eps_K   = |K - K_D|, K_D the converged primal objective
+  eps_K   = |K - K_D|, K_D the converged primal objective (the dual
+            objective F_D where K_D is not finite)
   eps_v   = sum over Q'_D of |vbar - V|^2 Lambda_rho      (weighted L^2 squared)
   eps_phi = same weighted norm of grad_D(Pi phibar) - grad_D(Phi)
   eps_rho = dt * sum over slices of |Pi rhobar_t - Lambda_rho/dt|  (L^1)
@@ -50,7 +51,8 @@ class ErrorRecord:
 
     N: int
     h: float
-    K_D: float
+    K_D: float  # primal_objective of Lambda, NaN or inf included
+    F_D: float  # the dual objective of Phi, AdmmState.objective
     eps_K: float
     eps_phi: float | None
     eps_v: float
@@ -173,15 +175,15 @@ def solve_instance(case_id: int, N: int, *, w: float | None = None,
     wall = time.perf_counter() - t0
 
     K_D = primal_objective(lam, problem.R, cost)
-    fd = state.objective
-    gap = abs(K_D - fd) if math.isfinite(K_D) else math.inf
-    K_for_errors = K_D if math.isfinite(K_D) else fd
+    F_D = state.objective
+    gap = abs(K_D - F_D) if math.isfinite(K_D) else math.inf
     V = recover_velocity(lam)
     record = ErrorRecord(
         N=N,
         h=grid.h,
-        K_D=K_for_errors,
-        eps_K=error_cost(sol.cost, K_for_errors),
+        K_D=K_D,
+        F_D=F_D,
+        eps_K=error_cost(sol.cost, K_D if math.isfinite(K_D) else F_D),
         eps_phi=error_potential_gradient(phi, sol, lam, grid),
         eps_v=error_velocity(lam, V, sol, grid),
         eps_rho=error_measure(lam, sol, grid),

@@ -295,7 +295,8 @@ def cmd_solve(cfg: dict) -> int:
         "case": case, "w": w,
         "N": rec.N, "N_X": grid.N_X, "zeta": grid.zeta, "cost": "quadratic",
         "R": grid.R, "eps": grid.eps,
-        "K_D": rec.K_D, "K_analytic": res.sol.cost, "duality_gap": rec.duality_gap,
+        "K_D": rec.K_D, "F_D": rec.F_D, "K_analytic": res.sol.cost,
+        "duality_gap": rec.duality_gap,
         "iters": rec.iters, "converged": rec.converged,
         "stop_reason": rec.stop_reason, "r_final": rec.r_final,
         "primal_res": res.state.primal_res, "dual_res": res.state.dual_res,
@@ -303,7 +304,7 @@ def cmd_solve(cfg: dict) -> int:
                    "eps_v": rec.eps_v, "eps_rho": rec.eps_rho},
     }
     atomic_write_text(os.path.join(out, "summary.json"), _json_text(summary))
-    print(f"K_D = {rec.K_D:.8g} (analytic {res.sol.cost:.8g}), "
+    print(f"K_D = {rec.K_D:.8g} (analytic {res.sol.cost:.8g}), F_D = {rec.F_D:.8g}, "
           f"duality gap {rec.duality_gap:.3g}, {rec.iters} iterations")
     print(f"errors: eps_K={rec.eps_K:.3g} "
           f"eps_phi={'n/a' if rec.eps_phi is None else format(rec.eps_phi, '.3g')} "

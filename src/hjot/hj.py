@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +81,13 @@ def solve_ivp(phi0: np.ndarray, params: SchemeParams) -> np.ndarray:
     phi0 may carry leading batch axes, (*batch, *space): the output is then
     (N_T + 1, *batch, *space), and each batch member's trajectory equals its
     own solve_ivp call bit for bit, since the scheme is elementwise across
-    them. Every member must be finite.
+    them. The trailing axes must be the grid's space_shape, and every
+    member must be finite.
     """
     g = params.grid
+    if np.shape(phi0)[-g.d:] != g.space_shape:
+        raise ValueError(f"initial data of shape {np.shape(phi0)} does not end in "
+                         f"the grid's space shape {g.space_shape}")
     if not np.isfinite(phi0).all():
         raise ValueError("initial data must be finite")
     out = np.empty((g.N_T + 1,) + np.shape(phi0), dtype=float)
@@ -151,11 +156,16 @@ def hopf_lax(phi0, t: float, x, cost: CostModel, grid: GridSpec):
     below, whatever the float spacing of y. The smallest value evaluated is
     returned. Each x keeps its own bracket and round count, so a value does
     not depend on the other points of the array. The points are evaluated in
-    blocks of at most _SCAN_BLOCK scan points each. Implemented for d = 1.
+    blocks of at most _SCAN_BLOCK scan points each. Implemented for d = 1;
+    t and every x must be finite.
     """
     if grid.d != 1:
         raise NotImplementedError("hopf_lax is implemented for d=1")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     xs = np.asarray(x, dtype=float)
+    if not (math.isfinite(xs) if xs.ndim == 0 else np.isfinite(xs).all()):
+        raise ValueError(f"x must be finite, got {x!r}")
     if t <= 0.0:
         return float(phi0(xs)) if xs.ndim == 0 else np.array(phi0(xs), dtype=float)
     offsets = _scan_offsets(cost.lip_H(grid.R) * t + grid.dx, grid.dx / 8)
@@ -311,8 +321,8 @@ def check_monotone(params: SchemeParams, trials: int = 1000, seed: int = 0) -> M
     and the stencil are elementwise: for every seed the report equals that of
     one-at-a-time trials.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be at least 1 and an integer, got {trials!r}")
     g, radius = params.grid, params.monotone_on
     rng = np.random.default_rng(seed)
     size = max(1, _BATCH // math.prod(g.space_shape))

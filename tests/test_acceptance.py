@@ -155,6 +155,8 @@ def test_c05_alpha_rho_near_reference(all_sweeps):
 def test_c06_duality_gap_bound(all_sweeps):
     for cid, report in all_sweeps.items():
         for r in report.records:
+            # a non-finite K_D would make the bound infinite, or NaN
+            assert math.isfinite(r.K_D), (cid, r.N, r.K_D)
             bound = 1e-3 * (1.0 + abs(r.K_D))
             assert r.duality_gap <= bound, (cid, r.N, r.duality_gap)
 

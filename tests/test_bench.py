@@ -140,11 +140,11 @@ def test_resolve_nx():
 
 def synthetic_report():
     records = [
-        ErrorRecord(N=16, h=1 / 16, K_D=0.021, eps_K=1.8e-2, eps_phi=None,
+        ErrorRecord(N=16, h=1 / 16, K_D=0.021, F_D=0.021, eps_K=1.8e-2, eps_phi=None,
                     eps_v=1.2e-2, eps_rho=0.12, iters=1000, wall_time=0.5,
                     converged=True, duality_gap=2e-8, stop_reason="converged",
                     r_final=0.015625),
-        ErrorRecord(N=32, h=1 / 32, K_D=0.011, eps_K=7.9e-3, eps_phi=3e-3,
+        ErrorRecord(N=32, h=1 / 32, K_D=0.011, F_D=0.011, eps_K=7.9e-3, eps_phi=3e-3,
                     eps_v=4.2e-3, eps_rho=0.047, iters=3800, wall_time=2.0,
                     converged=False, duality_gap=7e-8, stop_reason="max_iters",
                     r_final=0.5),
@@ -159,17 +159,17 @@ def test_records_to_csv_format():
     text = records_to_csv(synthetic_report())
     lines = text.splitlines()
     assert lines[0] == "# case=2 w=0.20000000000000001"
-    assert lines[1] == ("N,h,K_D,eps_K,eps_phi,eps_v,eps_rho,iters,wall_time,converged,"
+    assert lines[1] == ("N,h,K_D,F_D,eps_K,eps_phi,eps_v,eps_rho,iters,wall_time,converged,"
                         "duality_gap,stop_reason,r_final")
     assert len(lines) == 4
     row16 = lines[2].split(",")
     assert row16[0] == "16"
-    assert row16[4] == ""  # eps_phi None prints empty
-    assert row16[9] == "1"
+    assert row16[5] == ""  # eps_phi None prints empty
+    assert row16[10] == "1"
     row32 = lines[3].split(",")
-    assert float(row32[3]) == pytest.approx(7.9e-3)
-    assert row32[9] == "0"
-    assert row32[11:] == ["max_iters", "0.5"]
+    assert float(row32[4]) == pytest.approx(7.9e-3)
+    assert row32[10] == "0"
+    assert row32[12:] == ["max_iters", "0.5"]
     # serialization is deterministic
     assert records_to_csv(synthetic_report()) == text
 
@@ -202,6 +202,7 @@ def test_solve_instance_record(case2_n16):
     assert r.eps_phi is not None
     assert r.duality_gap <= 1e-6
     assert r.K_D == pytest.approx(0.0217635, abs=1e-6)
+    assert r.F_D == case2_n16.state.objective
 
 
 def test_run_sweep_two_resolutions_warns(quad):

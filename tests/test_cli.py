@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -122,6 +123,20 @@ def test_solve_that_overflows_exits_2_with_its_artifacts(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["stop_reason"] == "non_finite" and summary["iters"] == 1
     assert (out / "phi.csv").exists()
+
+
+def test_solve_that_overflows_records_K_D_and_F_D_apart(tmp_path, capsys):
+    # K_D is NaN; eps_K falls back to F_D, which is reported under its own name
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.warns(UserWarning, match="non-finite"):
+        _, out = run_solve(tmp_path, "tiny-r", ["--admm-r", "1e-200"])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["K_D"] == "nan"
+    assert math.isfinite(summary["F_D"])
+    assert summary["errors"]["eps_K"] == abs(summary["K_analytic"] - summary["F_D"])
+    assert summary["duality_gap"] == "inf"
+    stdout = capsys.readouterr().out
+    assert "K_D = nan " in stdout and f"F_D = {summary['F_D']:.8g}," in stdout
 
 
 def test_solve_zero_iteration_cap_exits_3(tmp_path, capsys):

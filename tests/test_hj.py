@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +146,15 @@ def test_solve_ivp_rejects_a_nan_in_one_batch_member(params4):
         solve_ivp(batch, params4)
 
 
+@pytest.mark.parametrize("d,shape", [(1, (15,)), (1, ()), (1, (16, 15)), (2, (16,)),
+                                     (2, (16, 15)), (2, (4, 15, 16))])
+def test_solve_ivp_rejects_a_field_off_the_grid(quad, d, shape):
+    g = GridSpec(d=d, D=1.0, N_T=4, N_X=16, eps=0.01, R=0.5)
+    with pytest.raises(ValueError, match=re.escape(f"{shape} does not end in the grid's "
+                                                   f"space shape {g.space_shape}")):
+        solve_ivp(np.zeros(shape), SchemeParams(g, quad))
+
+
 def test_slope_bound_preserved_over_horizon(quad):
     g = make_grid(1, 1.0, 16, 16, quad)
     params = make_scheme(g, quad)
@@ -204,7 +215,7 @@ def test_monotone_with_admissible_viscosity(quad):
     assert report.trials == 300
 
 
-@pytest.mark.parametrize("trials", [0, -5])
+@pytest.mark.parametrize("trials", [0, -5, True, False, 2.5, 3.0, "3", None])
 def test_check_monotone_needs_a_trial(params4, trials):
     # no trial run is no evidence: an empty report must not read as a pass
     with pytest.raises(ValueError, match="trials must be at least 1"):
@@ -380,6 +391,27 @@ def test_hopf_lax_d2_unsupported(quad):
     g = make_grid(2, 1.0, 16, 4, quad, R=0.5)
     with pytest.raises(NotImplementedError):
         hopf_lax(lambda x: np.zeros(2), 0.5, 0.0, quad, g)
+
+
+@pytest.mark.parametrize("t,x,name", [
+    (math.nan, 0.1, "t"), (math.inf, 0.1, "t"), (-math.inf, 0.1, "t"),
+    (0.5, math.nan, "x"), (0.5, math.inf, "x"), (0.5, -math.inf, "x"),
+    (0.0, math.nan, "x"), (0.5, np.array([0.1, math.nan, 0.3]), "x"),
+    (0.5, np.array([[0.1], [math.inf]]), "x"),
+])
+def test_hopf_lax_rejects_non_finite_t_and_x(quad, t, x, name):
+    g = make_grid(1, 1.0, 16, 16, quad)
+    calls = []
+
+    def phi0(y):
+        calls.append(y)
+        return np.zeros_like(y)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic warns
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            hopf_lax(phi0, t, x, quad, g)
+    assert not calls
 
 
 _ROUND = np.linspace(0.0, 1.0, 65)
