@@ -7,13 +7,14 @@ Hamilton-Jacobi equation. ADMM on the saddle-point form returns both the
 potential and the primal mass/momentum variables, whose convergence rates
 against analytic solutions are measured by the bench module.
 
-The grid, cost, measure and scheme layers need numpy only and load with
-the package. The saddle-point modules (admm, bench and transport) import
+The grid, cost, measure and scheme layers, and AdmmConfig (hjot.config),
+need numpy only and load with the package. The saddle-point modules (admm, bench and transport) import
 SciPy, so they load on first access (PEP 562): hjot.admm, or any name they
 re-export here, such as hjot.solve.
 """
 import importlib
 
+from .config import AdmmConfig
 from .cost import CostModel, PowerCost, QuadraticCost, make_cost
 from .grid import GridSpec, make_grid
 from .hj import (SchemeParams, check_monotone, hopf_lax, make_scheme,
@@ -25,7 +26,7 @@ __version__ = "0.1.0"
 
 # module -> the names the package re-exports from it on first access
 _LAZY = {
-    "admm": ("AdmmConfig", "AdmmState", "solve"),
+    "admm": ("AdmmState", "solve"),
     "bench": ("ConvergenceReport", "ErrorRecord", "REFERENCE_RATES",
               "run_sweep", "solve_instance"),
     "transport": ("PrimalVars", "SigmaVars", "TransportProblem", "assemble_problem",

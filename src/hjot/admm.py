@@ -37,7 +37,6 @@ mode is anchored to mean zero on the zero-frequency coefficients.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -45,6 +44,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, zpttrs
 
 from . import transport
+from .config import AdmmConfig
 from .grid import viscosity_interval
 from .transport import PrimalVars, SigmaVars, TransportProblem, objective_FD
 
@@ -57,30 +57,6 @@ BALANCE_RATIO = 10.0
 # relative never refreshed, 1.6e-10 / 1.2e-10 refreshed every 10th / 8th step
 # and 7.1e-11 every 5th (case 1, N = 192); README's gate is 1e-10.
 REFRESH_INTERVAL = 5
-
-
-@dataclass
-class AdmmConfig:
-    """Solver parameters.
-
-    :param r: initial penalty parameter, finite and positive
-    :param stop_tol: threshold for both residual norms, finite and positive
-    :param max_iters: iteration cap, an integer of at least 1 (non-convergence is
-        flagged, not raised)
-    """
-
-    r: float = 1.0
-    stop_tol: float = 1e-5
-    max_iters: int = 200000
-
-    def __post_init__(self) -> None:
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                   and math.isfinite(v) and v > 0 for v in (self.r, self.stop_tol)):
-            raise ValueError(f"r and stop_tol must be finite and positive numbers, "
-                             f"got r={self.r!r}, stop_tol={self.stop_tol!r}")
-        m = self.max_iters
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-            raise ValueError(f"max_iters must be an integer of at least 1, got {m!r}")
 
 
 @dataclass

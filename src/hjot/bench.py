@@ -24,7 +24,7 @@ import numpy as np
 
 from .admm import AdmmConfig, solve
 from .cost import QuadraticCost
-from .grid import GridSpec, centered_gradient, make_grid
+from .grid import GridSpec, centered_gradient, fit_rate, make_grid, resolve_nx
 from .measures import DEFAULT_W, build_test_case, project_measure
 from .transport import PrimalVars, assemble_problem, primal_objective, recover_velocity
 
@@ -122,29 +122,6 @@ def error_measure(lam: PrimalVars, sol, grid: GridSpec) -> float:
         pi_rho = project_measure(sol.slice_measure(i * grid.dt), grid).weights
         total += float(np.sum(np.abs(pi_rho - lam.lambda_rho[i] / grid.dt)))
     return grid.dt * total
-
-
-def fit_rate(points) -> float:
-    """OLS slope of log(error) vs log(h); nonpositive errors are dropped."""
-    pts = [(h, e) for h, e in points]
-    kept = [(h, e) for h, e in pts if e > 0]
-    if len(kept) < len(pts):
-        warnings.warn(f"fit_rate: dropped {len(pts) - len(kept)} nonpositive error values")
-    if len(kept) < 2:
-        warnings.warn("fit_rate: fewer than 2 usable points, returning nan")
-        return math.nan
-    logh = np.log([h for h, _ in kept])
-    loge = np.log([e for _, e in kept])
-    return float(np.polyfit(logh, loge, 1)[0])
-
-
-def resolve_nx(N_T: int, zeta: float, D: float) -> int:
-    """N_X implied by zeta = dt/dx; must come out integral."""
-    nx = zeta * D * N_T
-    if not math.isfinite(nx) or abs(nx - round(nx)) > 1e-9 or round(nx) < 3:
-        raise ValueError(f"zeta={zeta} with N_T={N_T}, D={D} gives non-finite, "
-                         f"non-integral or too small N_X={nx}")
-    return int(round(nx))
 
 
 @dataclass

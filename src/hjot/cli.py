@@ -30,18 +30,22 @@ import math
 import os
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .admm import AdmmConfig
-from .bench import (ConvergenceReport, ErrorRecord, fit_rate, resolve_nx, run_sweep,
-                    solve_instance)
+from .config import AdmmConfig
 from .cost import make_cost
-from .grid import GridSpec, make_grid
+from .grid import GridSpec, fit_rate, make_grid, resolve_nx
 from .hj import (SchemeParams, check_monotone, consistency_residual, hopf_lax,
                  make_scheme, max_slope, random_cr_field, solve_ivp)
 from .measures import DEFAULT_W, wrap
-from .transport import recover_velocity
+
+# The saddle-point modules (bench, transport), which load SciPy, are
+# imported where solve and sweep run, so that the scheme commands need
+# numpy alone.
+if TYPE_CHECKING:
+    from .bench import ConvergenceReport
 
 
 class ConfigError(Exception):
@@ -182,6 +186,7 @@ def _cell(x) -> str:
 
 def records_to_csv(report: ConvergenceReport) -> str:
     """One row per ErrorRecord, its fields as the columns in declaration order."""
+    from .bench import ErrorRecord
     names = [f.name for f in dataclasses.fields(ErrorRecord)]
     lines = [f"# case={report.case_id} w={_cell(report.w)}", ",".join(names)]
     lines += [",".join(_cell(getattr(r, name)) for name in names)
@@ -280,6 +285,8 @@ def _solver_args(cfg: dict, n_ok, n_error: str) -> tuple[int, list[int], dict]:
 
 
 def cmd_solve(cfg: dict) -> int:
+    from .bench import solve_instance
+    from .transport import recover_velocity
     case, ns, kwargs = _solver_args(
         cfg, lambda k: k == 1, "solve takes a single resolution, use sweep for lists")
     res = solve_instance(case, ns[0], **kwargs)
@@ -316,6 +323,7 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
+    from .bench import run_sweep
     case, ns, kwargs = _solver_args(cfg, lambda k: k >= 2,
                                     "sweep needs at least 2 resolutions")
     report = run_sweep(case, ns, **kwargs)

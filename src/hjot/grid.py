@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +151,29 @@ def make_grid(d: int, D: float, N_T: int, N_X: int, cost,
     return GridSpec(d=d, D=D, N_T=N_T, N_X=N_X, eps=eps, R=R)
 
 
+def fit_rate(points) -> float:
+    """OLS slope of log(error) vs log(h); nonpositive errors are dropped."""
+    pts = [(h, e) for h, e in points]
+    kept = [(h, e) for h, e in pts if e > 0]
+    if len(kept) < len(pts):
+        warnings.warn(f"fit_rate: dropped {len(pts) - len(kept)} nonpositive error values")
+    if len(kept) < 2:
+        warnings.warn("fit_rate: fewer than 2 usable points, returning nan")
+        return math.nan
+    logh = np.log([h for h, _ in kept])
+    loge = np.log([e for _, e in kept])
+    return float(np.polyfit(logh, loge, 1)[0])
+
+
+def resolve_nx(N_T: int, zeta: float, D: float) -> int:
+    """N_X implied by zeta = dt/dx; must come out integral."""
+    nx = zeta * D * N_T
+    if not math.isfinite(nx) or abs(nx - round(nx)) > 1e-9 or round(nx) < 3:
+        raise ValueError(f"zeta={zeta} with N_T={N_T}, D={D} gives non-finite, "
+                         f"non-integral or too small N_X={nx}")
+    return int(round(nx))
+
+
 @functools.lru_cache
 def _wrap_index(n: int) -> np.ndarray:
     """Indices -1, 0, ..., n; take(mode="wrap") reads -1 as n - 1 and n as 0."""
@@ -165,49 +189,98 @@ def _shifted(ax: int) -> tuple[tuple, tuple]:
     return (Ellipsis, slice(1, None)) + rest, (Ellipsis, slice(None, -1)) + rest
 
 
-def _cell_diffs(psi: np.ndarray, ax: int) -> tuple[np.ndarray, np.ndarray]:
-    """(forward, backward) difference of each cell along the (negative) axis
-    ax, psi(j+1) - psi(j) and psi(j) - psi(j-1): two views of the N + 1
-    differences of one copy of psi padded with its periodic neighbours
-    psi(-1) and psi(N). The subtraction runs in psi's dtype; integers come
-    out as floats."""
-    pad = psi.take(_wrap_index(psi.shape[ax]), axis=ax, mode="wrap")
-    nxt, prv = _shifted(ax)
-    both = np.subtract(pad[nxt], pad[prv])
-    if both.dtype.kind not in "fc":
-        both = both.astype(float)
-    return both[nxt], both[prv]
+def _axis_shapes(shape: tuple, ax: int) -> tuple[tuple, tuple]:
+    """Shapes of the padded copy and of its differences along the
+    (negative) axis ax of a field of the given shape."""
+    n = shape[ax]
+    return shape[:ax] + (n + 2,) + shape[ax:][1:], shape[:ax] + (n + 1,) + shape[ax:][1:]
+
+
+def _stencil_buffers(shape: tuple, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Flat buffers of _stencil_scratch for fields of the given shape, or
+    of as many cells or fewer: the padded copy, in the fields' dtype, and
+    its differences, in float."""
+    size, n = math.prod(shape), shape[-1]
+    return (np.empty(size // n * (n + 2), dtype),
+            np.empty(size // n * (n + 1), np.result_type(dtype, 1.0)))
+
+
+def _stencil_scratch(shape: tuple, d: int, buffers: tuple[np.ndarray, np.ndarray]) -> list:
+    """Views of buffers (_stencil_buffers) through which _axis_diffs
+    differences a field of the given shape along each of its last d axes:
+    per axis (ax, wrap indices, padded copy, its [1:] and [:-1] slices,
+    differences, forward and backward views)."""
+    out = []
+    for ax in range(-d, 0):
+        nxt, prv = _shifted(ax)
+        pad_shape, diff_shape = _axis_shapes(shape, ax)
+        pad = buffers[0][:math.prod(pad_shape)].reshape(pad_shape)
+        both = buffers[1][:math.prod(diff_shape)].reshape(diff_shape)
+        out.append((ax, _wrap_index(shape[ax]), pad, pad[nxt], pad[prv],
+                    both, both[nxt], both[prv]))
+    return out
+
+
+def _axis_diffs(psi: np.ndarray, axis_scratch: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, backward) difference of each cell along one axis of psi,
+    psi(j+1) - psi(j) and psi(j) - psi(j-1), through that axis' entry of
+    _stencil_scratch: two views of the N + 1 differences of one copy of psi
+    padded with its periodic neighbours psi(-1) and psi(N). The subtraction
+    runs in psi's dtype (the padded copy's); integers come out as floats
+    (the differences')."""
+    ax, idx, pad, pad_nxt, pad_prv, both, fwd, bwd = axis_scratch
+    psi.take(idx, axis=ax, mode="wrap", out=pad)
+    np.subtract(pad_nxt, pad_prv, out=both)
+    return fwd, bwd
+
+
+def _stencils(psi: np.ndarray, grid: GridSpec, grad: np.ndarray, lap: np.ndarray,
+              scratch: list) -> None:
+    """The centred gradient of psi into grad, (d, *psi.shape), and its
+    Laplacian into lap, psi.shape, from one padded difference per axis
+    (scratch is _stencil_scratch of psi's shape). Each axis' Laplacian term
+    passes through grad[k] before the gradient overwrites it, and the sum
+    starts from +0.0, which turns a -0.0 first term into +0.0."""
+    for k, axis_scratch in enumerate(scratch):
+        fwd, bwd = _axis_diffs(psi, axis_scratch)
+        if k == 0:
+            np.subtract(fwd, bwd, out=lap)
+            lap += 0.0
+        else:
+            lap += np.subtract(fwd, bwd, out=grad[k])
+        np.add(fwd, bwd, out=grad[k])
+    grad /= 2.0 * grid.dx
+    lap /= grid.dx ** 2
+
+
+def _own_scratch(psi: np.ndarray, d: int) -> list:
+    """_stencil_scratch of psi's shape over buffers of its own."""
+    return _stencil_scratch(psi.shape, d, _stencil_buffers(psi.shape, psi.dtype))
+
+
+def _allocated_stencils(psi: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(centred gradient, Laplacian) of psi in arrays of their own."""
+    dtype = np.result_type(psi, 1.0)
+    grad, lap = np.empty((grid.d,) + psi.shape, dtype), np.empty(psi.shape, dtype)
+    _stencils(psi, grid, grad, lap, _own_scratch(psi, grid.d))
+    return grad, lap
 
 
 def forward_gradient(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Forward differences psi(j+1) - psi(j), one component per axis on a
     new leading axis of length d."""
     out = np.empty((grid.d,) + psi.shape, np.result_type(psi, 1.0))
-    for k, ax in enumerate(range(-grid.d, 0)):
-        out[k] = _cell_diffs(psi, ax)[0]
+    for k, axis_scratch in enumerate(_own_scratch(psi, grid.d)):
+        out[k] = _axis_diffs(psi, axis_scratch)[0]
     return out
 
 
 def centered_gradient(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Centered gradient (backward + forward)/(2 dx), one component per axis
     on a new leading axis of length d."""
-    out = np.empty((grid.d,) + psi.shape, np.result_type(psi, 1.0))
-    for k, ax in enumerate(range(-grid.d, 0)):
-        np.add(*_cell_diffs(psi, ax), out=out[k])
-    out /= 2.0 * grid.dx
-    return out
+    return _allocated_stencils(psi, grid)[0]
 
 
 def discrete_laplacian(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Discrete Laplacian sum_k (forward - backward)/dx^2."""
-    out = None
-    for ax in range(-grid.d, 0):
-        term = np.subtract(*_cell_diffs(psi, ax))
-        if out is None:
-            # the sum starts from +0.0, which turns a -0.0 term into +0.0
-            term += 0.0
-            out = term
-        else:
-            out += term
-    out /= grid.dx ** 2
-    return out
+    return _allocated_stencils(psi, grid)[1]

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostModel
-from .grid import (GridSpec, _cell_diffs, centered_gradient, default_monotone_radius,
-                   discrete_laplacian, viscosity_interval)
+from .grid import (GridSpec, _axis_diffs, _own_scratch, _stencil_buffers, _stencil_scratch,
+                   _stencils, default_monotone_radius, viscosity_interval)
 from .measures import wrap
 
 
@@ -62,17 +62,45 @@ def make_scheme(grid: GridSpec, cost: CostModel) -> SchemeParams:
     return params
 
 
-def scheme_step(psi: np.ndarray, params: SchemeParams) -> np.ndarray:
-    """One explicit step of the vanishing-viscosity scheme, over any leading
-    batch axes of psi. The operations are those of the formula, in its order;
-    the result is formed in the Laplacian's buffer."""
+def _buffers(shape: tuple, dtype, grid: GridSpec) -> tuple:
+    """Flat buffers of _scratch for fields of the given shape, or of as many
+    cells or fewer: the gradient's, then grid._stencil_buffers."""
+    return ((np.empty(grid.d * math.prod(shape), np.result_type(dtype, 1.0)),)
+            + _stencil_buffers(shape, dtype))
+
+
+def _scratch(shape: tuple, grid: GridSpec, buffers: tuple) -> tuple:
+    """Views of buffers (_buffers) through which _step steps a field of the
+    given shape: the gradient, (d, *shape), and grid._stencil_scratch."""
+    grad = buffers[0][:grid.d * math.prod(shape)].reshape((grid.d,) + shape)
+    return grad, _stencil_scratch(shape, grid.d, buffers[1:])
+
+
+def _step(psi: np.ndarray, params: SchemeParams, out: np.ndarray, scratch: tuple) -> np.ndarray:
+    """S(psi) into out, which shares no memory with psi, through scratch
+    (_scratch of psi's shape); returns out. The operations are those of the
+    formula, in its order, on the centred gradient and the Laplacian of
+    grid._stencils; the result is formed in out, which holds the Laplacian
+    first."""
     g = params.grid
-    h = params.cost.eval_H(centered_gradient(psi, g))
-    out = discrete_laplacian(psi, g)
+    grad, stencil = scratch
+    _stencils(psi, g, grad, out, stencil)
+    h = params.cost.eval_H(grad)
     out *= g.eps
     np.subtract(h, out, out=out)
     out *= g.dt
     return np.subtract(psi, out, out=out)
+
+
+def scheme_step(psi: np.ndarray, params: SchemeParams) -> np.ndarray:
+    """One explicit step of the vanishing-viscosity scheme, over any leading
+    batch axes of psi, into a new array. It is _step with scratch of its
+    own: bit for bit the formula psi - dt * (H(grad_D psi) - eps * lap_D psi)
+    composed from centered_gradient, discrete_laplacian and cost.eval_H, in
+    that order of operations."""
+    g = params.grid
+    out = np.empty(psi.shape, np.result_type(psi, 1.0))
+    return _step(psi, params, out, _scratch(psi.shape, g, _buffers(psi.shape, psi.dtype, g)))
 
 
 def solve_ivp(phi0: np.ndarray, params: SchemeParams) -> np.ndarray:
@@ -83,6 +111,10 @@ def solve_ivp(phi0: np.ndarray, params: SchemeParams) -> np.ndarray:
     own solve_ivp call bit for bit, since the scheme is elementwise across
     them. The trailing axes must be the grid's space_shape, and every
     member must be finite.
+
+    Each slice is stepped straight into the next one by _step, bit for bit
+    scheme_step, through scratch allocated once per call and dropped on
+    return: the output shares memory with nothing else.
     """
     g = params.grid
     if np.shape(phi0)[-g.d:] != g.space_shape:
@@ -92,8 +124,10 @@ def solve_ivp(phi0: np.ndarray, params: SchemeParams) -> np.ndarray:
         raise ValueError("initial data must be finite")
     out = np.empty((g.N_T + 1,) + np.shape(phi0), dtype=float)
     out[0] = phi0
+    shape = out.shape[1:]
+    scratch = _scratch(shape, g, _buffers(shape, out.dtype, g))
     for i in range(g.N_T):
-        out[i + 1] = scheme_step(out[i], params)
+        _step(out[i], params, out[i + 1], scratch)
     return out
 
 
@@ -125,8 +159,8 @@ def max_slope(psi: np.ndarray, grid: GridSpec) -> float:
     is then the maximum over its slices, NaN if any slice holds a NaN.
     """
     worst = None
-    for ax in range(-grid.d, 0):
-        fwd = _cell_diffs(psi, ax)[0]
+    for axis_scratch in _own_scratch(psi, grid.d):
+        fwd = _axis_diffs(psi, axis_scratch)[0]
         top = np.maximum.reduce(np.abs(fwd, out=fwd), axis=None)
         # maximum, unlike max, keeps a NaN
         worst = top if worst is None else np.maximum(worst, top)
@@ -157,16 +191,19 @@ def hopf_lax(phi0, t: float, x, cost: CostModel, grid: GridSpec):
     returned. Each x keeps its own bracket and round count, so a value does
     not depend on the other points of the array. The points are evaluated in
     blocks of at most _SCAN_BLOCK scan points each. Implemented for d = 1;
-    t and every x must be finite.
+    t and every x must be finite, and t must not be negative: t = 0 gives
+    phi0(x).
     """
     if grid.d != 1:
         raise NotImplementedError("hopf_lax is implemented for d=1")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
+    if t < 0.0:
+        raise ValueError(f"t must not precede the initial time 0, got {t!r}")
     xs = np.asarray(x, dtype=float)
     if not (math.isfinite(xs) if xs.ndim == 0 else np.isfinite(xs).all()):
         raise ValueError(f"x must be finite, got {x!r}")
-    if t <= 0.0:
+    if t == 0.0:
         return float(phi0(xs)) if xs.ndim == 0 else np.array(phi0(xs), dtype=float)
     offsets = _scan_offsets(cost.lip_H(grid.R) * t + grid.dx, grid.dx / 8)
     if xs.ndim == 0:
@@ -316,8 +353,10 @@ def check_monotone(params: SchemeParams, trials: int = 1000, seed: int = 0) -> M
     non-expansiveness |S(psi) - S(psi')|_inf <= |psi - psi'|_inf.
 
     Trials run in batches of _BATCH elements (trials x cells), drawn in
-    random_cr_pair's rng order and stepped by one scheme_step call per side,
-    so memory stays O(_BATCH + cells), with no cells x cells table. Min, max
+    random_cr_pair's rng order and stepped as one field per side, with
+    scheme_step's arithmetic, into buffers and through scratch allocated
+    once per call, so memory stays O(_BATCH + cells), with no cells x cells
+    table. Min, max
     and the stencil are elementwise: for every seed the report equals that of
     one-at-a-time trials.
     """
@@ -327,13 +366,17 @@ def check_monotone(params: SchemeParams, trials: int = 1000, seed: int = 0) -> M
     rng = np.random.default_rng(seed)
     size = max(1, _BATCH // math.prod(g.space_shape))
     space = tuple(range(1, g.d + 1))
+    steps = np.empty((2, size) + g.space_shape)
+    buffers = _buffers(steps.shape[1:], steps.dtype, g)
     bad, worst = [0, 0], [0.0, 0.0]
     for start in range(0, trials, size):
         # fields 2t and 2t + 1 of a batch are the pair of its trial t
         count = 2 * min(size, trials - start)
         fields = _envelopes(*_draw_anchors(g, radius, rng, count), radius, g)
         lo, hi = np.minimum(fields[0::2], fields[1::2]), np.maximum(fields[0::2], fields[1::2])
-        s_lo, s_hi = scheme_step(lo, params), scheme_step(hi, params)
+        scratch = _scratch(lo.shape, g, buffers)
+        s_lo = _step(lo, params, steps[0, :len(lo)], scratch)
+        s_hi = _step(hi, params, steps[1, :len(hi)], scratch)
         gap = np.max(s_lo - s_hi, axis=space)
         excess = np.max(np.abs(s_lo - s_hi), axis=space) - np.max(np.abs(lo - hi), axis=space)
         for i, value in enumerate((gap, excess)):

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hjot.cost import QuadraticCost, make_cost
-from hjot.grid import GridSpec, forward_gradient, make_grid
+from hjot.cost import PowerCost, QuadraticCost, make_cost
+from hjot.grid import GridSpec, centered_gradient, discrete_laplacian, forward_gradient, make_grid
 from hjot.hj import (
     MonotoneReport,
     SchemeParams,
@@ -118,6 +118,78 @@ def test_solve_ivp_is_iterated_step(params4):
     for i in range(4):
         cur = scheme_step(cur, params4)
         assert np.array_equal(out[i + 1], cur)
+
+
+def _formula_step(psi, params):
+    """S(psi) composed from the public stencils and the cost, in the order
+    the scheme documents: H(grad_D psi), then eps * lap_D psi, their
+    difference, times dt, subtracted from psi, each formed in the
+    Laplacian's array (so a float32 field stays float32 under a cost whose
+    H is float64)."""
+    g = params.grid
+    h = params.cost.eval_H(centered_gradient(psi, g))
+    out = discrete_laplacian(psi, g)
+    out *= g.eps
+    np.subtract(h, out, out=out)
+    out *= g.dt
+    return np.subtract(psi, out, out=out)
+
+
+def _same(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_STEP_CASES = [  # (d, N_X, batch, cost)
+    (1, 16, (), QuadraticCost()), (1, 16, (3,), QuadraticCost()), (2, 8, (), QuadraticCost()),
+    (2, 8, (2, 3), QuadraticCost()), (1, 16, (4,), PowerCost(3.0)), (2, 8, (3,), PowerCost(1.5)),
+]
+
+
+@pytest.mark.parametrize("d, n, batch, cost", _STEP_CASES)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+def test_scheme_step_is_the_formula_bitwise(d, n, batch, cost, dtype):
+    g = GridSpec(d=d, D=1.0, N_T=8, N_X=n, eps=0.01, R=0.5)
+    params = SchemeParams(g, cost)
+    psi = np.random.default_rng(n + len(batch)).standard_normal(batch + g.space_shape)
+    psi = (100 * psi).astype(dtype) if dtype is np.int64 else psi.astype(dtype)
+    psi.flags.writeable = False
+    assert _same(scheme_step(psi, params), _formula_step(psi, params))
+
+
+@pytest.mark.parametrize("d, n, batch, cost", _STEP_CASES)
+def test_solve_ivp_iterates_the_formula_bitwise(d, n, batch, cost):
+    g = GridSpec(d=d, D=1.0, N_T=8, N_X=n, eps=0.01, R=0.5)
+    params = SchemeParams(g, cost)
+    rng = np.random.default_rng(3)
+    phi0 = np.stack([random_cr_field(g, g.R, rng) for _ in range(math.prod(batch))])
+    phi0 = phi0.reshape(batch + g.space_shape)
+    phi0.flags.writeable = False  # the first slice is read, never written
+    traj = solve_ivp(phi0, params)
+    cur = phi0
+    for i in range(g.N_T):
+        cur = _formula_step(cur, params)
+        assert _same(traj[i + 1], cur), i
+
+
+def test_solve_ivp_of_an_integer_field_is_that_of_its_floats(quad):
+    g = make_grid(1, 1.0, 16, 16, quad)
+    params = make_scheme(g, quad)
+    phi0 = np.arange(16) % 5
+    assert _same(solve_ivp(phi0, params), solve_ivp(phi0.astype(float), params))
+
+
+def test_two_solve_ivp_calls_return_independent_arrays(quad):
+    g = make_grid(2, 1.0, 16, 8, quad)
+    params = make_scheme(g, quad)
+    phi0 = random_cr_field(g, g.R, np.random.default_rng(1))
+    first, second = solve_ivp(phi0, params), solve_ivp(phi0, params)
+    assert not np.shares_memory(first, second) and not np.shares_memory(first, phi0)
+    assert _same(first, second)
+    kept = second.copy()
+    first[...] = np.nan
+    assert _same(second, kept)
+    # each output is one array of its own, not a view of kept scratch
+    assert first.base is None and second.base is None
 
 
 def test_solve_ivp_rejects_nan(params4):
@@ -412,6 +484,34 @@ def test_hopf_lax_rejects_non_finite_t_and_x(quad, t, x, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             hopf_lax(phi0, t, x, quad, g)
     assert not calls
+
+
+@pytest.mark.parametrize("x", [0.3, np.array([0.1, 0.3]), np.array([[0.1], [0.7]])])
+@pytest.mark.parametrize("t", [-1.0, -1e-300])
+def test_hopf_lax_rejects_a_negative_t(quad, t, x):
+    g = make_grid(1, 1.0, 16, 16, quad)
+    calls = []
+
+    def phi0(y):
+        calls.append(y)
+        return np.asarray(y) ** 2 / 2
+
+    with pytest.raises(ValueError, match="t must not precede the initial time 0"):
+        hopf_lax(phi0, t, x, quad, g)
+    assert not calls
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0])
+def test_hopf_lax_at_time_zero_is_phi0_for_scalar_and_array_x(quad, t):
+    g = make_grid(1, 1.0, 16, 16, quad)
+
+    def phi0(y):
+        return np.asarray(y) ** 2 / 2
+
+    assert hopf_lax(phi0, t, 0.3, quad, g) == phi0(0.3)
+    x = np.array([[0.1, 0.3], [0.5, 0.9]])
+    got = hopf_lax(phi0, t, x, quad, g)
+    assert got.shape == x.shape and got.tobytes() == phi0(x).tobytes()
 
 
 _ROUND = np.linspace(0.0, 1.0, 65)

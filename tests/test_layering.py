@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hjot
 
 SRC = str(Path(hjot.__file__).resolve().parents[1])
@@ -29,6 +31,8 @@ def test_the_scheme_path_loads_no_scipy():
     loaded = run_fresh("""
 import json, sys
 import numpy as np
+import pytest
+
 import hjot
 q = hjot.QuadraticCost()
 g = hjot.make_grid(1, 1.0, 16, 16, q)
@@ -46,6 +50,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 def test_every_exported_name_resolves_and_the_modules_are_their_entries():
     missing, same = run_fresh("""
 import json, sys
+import pytest
+
 import hjot
 missing = [n for n in hjot.__all__ if not hasattr(hjot, n)]
 same = [getattr(hjot, m) is sys.modules["hjot." + m] for m in ("admm", "bench", "transport")]
@@ -60,6 +66,8 @@ def test_a_solve_loads_no_module():
     # the first solve
     added = run_fresh("""
 import json, sys, warnings
+import pytest
+
 import hjot
 q = hjot.QuadraticCost()
 g = hjot.make_grid(1, 1.0, 8, 8, q)
@@ -74,3 +82,17 @@ with warnings.catch_warnings():
 print(json.dumps(sorted(set(sys.modules) - before)))
 """)
     assert added == []
+
+
+@pytest.mark.parametrize("argv", [["verify-scheme", "--n", "16", "--trials", "10"],
+                                  ["hj-ivp", "--n", "8,16"]])
+def test_the_scheme_commands_load_no_scipy(tmp_path, argv):
+    code, loaded = run_fresh(f"""
+import json, sys
+from hjot.cli import main
+code = main({argv + ["--out", str(tmp_path / "o")]!r})
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+""")
+    assert code == 0
+    assert loaded == []
+    assert (tmp_path / "o" / "config_resolved.json").is_file()
