@@ -20,10 +20,14 @@ padded copy of the input, which holds the neighbours across the period at
 its ends, and forms its differences in one subtraction over two shifted
 slices of that copy.
 
-Every stencil allocates its result, which shares no memory with the
-input. The arithmetic is that of the defining formulas, operation by
-operation. (The ADMM iteration does not call the stencils: its operator
-is one sparse matrix assembled from them once, in transport.py.)
+centered_gradient and discrete_laplacian are one private kernel,
+_stencils, which writes both into buffers its caller passes, from one
+padded difference per axis in scratch its caller also passes; the scheme
+(hj.py) calls it on scratch it allocates once per call. Every public
+stencil allocates its result, which shares no memory with the input. The
+arithmetic is that of the defining formulas, operation by operation. (The
+ADMM iteration does not call the stencils: its operator is one sparse
+matrix assembled from them once, in transport.py.)
 """
 from __future__ import annotations
 

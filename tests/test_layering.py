@@ -1,7 +1,8 @@
 """hjot's dependencies by layer: the grid, cost, measure and scheme layers
 need numpy alone, and SciPy loads with the saddle-point modules (admm,
-bench, transport). Each check runs in a fresh interpreter, because this
-process has long loaded them all.
+bench, transport), which the command line imports for solve and sweep
+alone. Each check runs in a fresh interpreter, because this process has
+long loaded them all.
 """
 import json
 import os
