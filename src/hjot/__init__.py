@@ -8,9 +8,9 @@ potential and the primal mass/momentum variables, whose convergence rates
 against analytic solutions are measured by the bench module.
 
 The grid, cost, measure and scheme layers, and AdmmConfig (hjot.config),
-need numpy only and load with the package. The saddle-point modules (admm, bench and transport) import
-SciPy, so they load on first access (PEP 562): hjot.admm, or any name they
-re-export here, such as hjot.solve.
+need numpy only and load with the package. The saddle-point modules (admm,
+bench and transport) import SciPy, so they load on first access (PEP 562):
+hjot.admm, or any name they re-export here, such as hjot.solve.
 """
 import importlib
 

@@ -193,13 +193,6 @@ def _shifted(ax: int) -> tuple[tuple, tuple]:
     return (Ellipsis, slice(1, None)) + rest, (Ellipsis, slice(None, -1)) + rest
 
 
-def _axis_shapes(shape: tuple, ax: int) -> tuple[tuple, tuple]:
-    """Shapes of the padded copy and of its differences along the
-    (negative) axis ax of a field of the given shape."""
-    n = shape[ax]
-    return shape[:ax] + (n + 2,) + shape[ax:][1:], shape[:ax] + (n + 1,) + shape[ax:][1:]
-
-
 def _stencil_buffers(shape: tuple, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Flat buffers of _stencil_scratch for fields of the given shape, or
     of as many cells or fewer: the padded copy, in the fields' dtype, and
@@ -217,7 +210,8 @@ def _stencil_scratch(shape: tuple, d: int, buffers: tuple[np.ndarray, np.ndarray
     out = []
     for ax in range(-d, 0):
         nxt, prv = _shifted(ax)
-        pad_shape, diff_shape = _axis_shapes(shape, ax)
+        before, after = shape[:ax], shape[ax:][1:]
+        pad_shape, diff_shape = before + (shape[ax] + 2,) + after, before + (shape[ax] + 1,) + after
         pad = buffers[0][:math.prod(pad_shape)].reshape(pad_shape)
         both = buffers[1][:math.prod(diff_shape)].reshape(diff_shape)
         out.append((ax, _wrap_index(shape[ax]), pad, pad[nxt], pad[prv],
