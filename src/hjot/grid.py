@@ -21,10 +21,10 @@ its ends, and forms its differences in one subtraction over two shifted
 slices of that copy.
 
 centered_gradient and discrete_laplacian are one private kernel,
-_stencils, which writes both into buffers its caller passes, from one
-padded difference per axis in scratch its caller also passes; the scheme
-(hj.py) calls it on scratch it allocates once per call. Every public
-stencil allocates its result, which shares no memory with the input. The
+_stencils, which writes either or both into buffers its caller passes,
+from one padded difference per axis in scratch its caller also passes
+(_stencil_scratch); the scheme (hj.py) calls it for both on scratch it
+allocates once per call. Every public stencil allocates its result, which shares no memory with the input. The
 arithmetic is that of the defining formulas, operation by operation. (The
 ADMM iteration does not call the stencils: its operator is one sparse
 matrix assembled from them once, in transport.py.)
@@ -193,92 +193,78 @@ def _shifted(ax: int) -> tuple[tuple, tuple]:
     return (Ellipsis, slice(1, None)) + rest, (Ellipsis, slice(None, -1)) + rest
 
 
-def _stencil_buffers(shape: tuple, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Flat buffers of _stencil_scratch for fields of the given shape, or
-    of as many cells or fewer: the padded copy, in the fields' dtype, and
-    its differences, in float."""
-    size, n = math.prod(shape), shape[-1]
-    return (np.empty(size // n * (n + 2), dtype),
-            np.empty(size // n * (n + 1), np.result_type(dtype, 1.0)))
-
-
-def _stencil_scratch(shape: tuple, d: int, buffers: tuple[np.ndarray, np.ndarray]) -> list:
-    """Views of buffers (_stencil_buffers) through which _axis_diffs
-    differences a field of the given shape along each of its last d axes:
-    per axis (ax, wrap indices, padded copy, its [1:] and [:-1] slices,
-    differences, forward and backward views)."""
+def _stencil_scratch(psi: np.ndarray, d: int) -> list:
+    """Scratch of _axis_diffs for fields of psi's shape and dtype, one entry
+    per axis of their last d: the padded copy, in psi's dtype, its
+    differences, in float, and the slices [1:] and [:-1] of each."""
+    shape, float_type = psi.shape, np.result_type(psi, 1.0)
     out = []
     for ax in range(-d, 0):
+        before, n, after = shape[:ax], shape[ax], shape[ax:][1:]
+        pad = np.empty(before + (n + 2,) + after, psi.dtype)
+        both = np.empty(before + (n + 1,) + after, float_type)
         nxt, prv = _shifted(ax)
-        before, after = shape[:ax], shape[ax:][1:]
-        pad_shape, diff_shape = before + (shape[ax] + 2,) + after, before + (shape[ax] + 1,) + after
-        pad = buffers[0][:math.prod(pad_shape)].reshape(pad_shape)
-        both = buffers[1][:math.prod(diff_shape)].reshape(diff_shape)
-        out.append((ax, _wrap_index(shape[ax]), pad, pad[nxt], pad[prv],
-                    both, both[nxt], both[prv]))
+        out.append((pad, pad[nxt], pad[prv], both, both[nxt], both[prv]))
     return out
 
 
-def _axis_diffs(psi: np.ndarray, axis_scratch: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(forward, backward) difference of each cell along one axis of psi,
-    psi(j+1) - psi(j) and psi(j) - psi(j-1), through that axis' entry of
-    _stencil_scratch: two views of the N + 1 differences of one copy of psi
-    padded with its periodic neighbours psi(-1) and psi(N). The subtraction
-    runs in psi's dtype (the padded copy's); integers come out as floats
-    (the differences')."""
-    ax, idx, pad, pad_nxt, pad_prv, both, fwd, bwd = axis_scratch
-    psi.take(idx, axis=ax, mode="wrap", out=pad)
+def _axis_diffs(psi: np.ndarray, ax: int, axis_scratch: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, backward) difference of each cell along the (negative) axis
+    ax of psi, psi(j+1) - psi(j) and psi(j) - psi(j-1), through that axis'
+    entry of _stencil_scratch: two views of the N + 1 differences of one
+    copy of psi padded with its periodic neighbours psi(-1) and psi(N). The
+    subtraction runs in psi's dtype (the copy's); integers come out as
+    floats (the differences')."""
+    pad, pad_nxt, pad_prv, both, fwd, bwd = axis_scratch
+    psi.take(_wrap_index(psi.shape[ax]), axis=ax, mode="wrap", out=pad)
     np.subtract(pad_nxt, pad_prv, out=both)
     return fwd, bwd
 
 
-def _stencils(psi: np.ndarray, grid: GridSpec, grad: np.ndarray, lap: np.ndarray,
-              scratch: list) -> None:
+def _stencils(psi: np.ndarray, grid: GridSpec, grad: np.ndarray | None,
+              lap: np.ndarray | None, scratch: list) -> None:
     """The centred gradient of psi into grad, (d, *psi.shape), and its
     Laplacian into lap, psi.shape, from one padded difference per axis
-    (scratch is _stencil_scratch of psi's shape). Each axis' Laplacian term
-    passes through grad[k] before the gradient overwrites it, and the sum
-    starts from +0.0, which turns a -0.0 first term into +0.0."""
+    (scratch is _stencil_scratch of psi); either may be None, which skips
+    that stencil. Each axis' Laplacian term after the first passes through
+    grad[k] before the gradient overwrites it, or through a new array
+    without grad, and the sum starts from +0.0, which turns a -0.0 first
+    term into +0.0."""
     for k, axis_scratch in enumerate(scratch):
-        fwd, bwd = _axis_diffs(psi, axis_scratch)
-        if k == 0:
-            np.subtract(fwd, bwd, out=lap)
-            lap += 0.0
-        else:
-            lap += np.subtract(fwd, bwd, out=grad[k])
-        np.add(fwd, bwd, out=grad[k])
-    grad /= 2.0 * grid.dx
-    lap /= grid.dx ** 2
-
-
-def _own_scratch(psi: np.ndarray, d: int) -> list:
-    """_stencil_scratch of psi's shape over buffers of its own."""
-    return _stencil_scratch(psi.shape, d, _stencil_buffers(psi.shape, psi.dtype))
-
-
-def _allocated_stencils(psi: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(centred gradient, Laplacian) of psi in arrays of their own."""
-    dtype = np.result_type(psi, 1.0)
-    grad, lap = np.empty((grid.d,) + psi.shape, dtype), np.empty(psi.shape, dtype)
-    _stencils(psi, grid, grad, lap, _own_scratch(psi, grid.d))
-    return grad, lap
+        fwd, bwd = _axis_diffs(psi, k - grid.d, axis_scratch)
+        if lap is not None:
+            if k == 0:
+                np.subtract(fwd, bwd, out=lap)
+                lap += 0.0
+            else:
+                lap += np.subtract(fwd, bwd, out=None if grad is None else grad[k])
+        if grad is not None:
+            np.add(fwd, bwd, out=grad[k])
+    if grad is not None:
+        grad /= 2.0 * grid.dx
+    if lap is not None:
+        lap /= grid.dx ** 2
 
 
 def forward_gradient(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Forward differences psi(j+1) - psi(j), one component per axis on a
     new leading axis of length d."""
     out = np.empty((grid.d,) + psi.shape, np.result_type(psi, 1.0))
-    for k, axis_scratch in enumerate(_own_scratch(psi, grid.d)):
-        out[k] = _axis_diffs(psi, axis_scratch)[0]
+    for k, axis_scratch in enumerate(_stencil_scratch(psi, grid.d)):
+        out[k] = _axis_diffs(psi, k - grid.d, axis_scratch)[0]
     return out
 
 
 def centered_gradient(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Centered gradient (backward + forward)/(2 dx), one component per axis
     on a new leading axis of length d."""
-    return _allocated_stencils(psi, grid)[0]
+    out = np.empty((grid.d,) + psi.shape, np.result_type(psi, 1.0))
+    _stencils(psi, grid, out, None, _stencil_scratch(psi, grid.d))
+    return out
 
 
 def discrete_laplacian(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Discrete Laplacian sum_k (forward - backward)/dx^2."""
-    return _allocated_stencils(psi, grid)[1]
+    out = np.empty(psi.shape, np.result_type(psi, 1.0))
+    _stencils(psi, grid, None, out, _stencil_scratch(psi, grid.d))
+    return out

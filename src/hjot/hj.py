@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostModel
-from .grid import (GridSpec, _axis_diffs, _own_scratch, _stencil_buffers, _stencil_scratch,
-                   _stencils, default_monotone_radius, viscosity_interval)
+from .grid import (GridSpec, _axis_diffs, _stencil_scratch, _stencils, default_monotone_radius,
+                   viscosity_interval)
 from .measures import wrap
 
 
@@ -62,23 +62,16 @@ def make_scheme(grid: GridSpec, cost: CostModel) -> SchemeParams:
     return params
 
 
-def _buffers(shape: tuple, dtype, grid: GridSpec) -> tuple:
-    """Flat buffers of _scratch for fields of the given shape, or of as many
-    cells or fewer: the gradient's, then grid._stencil_buffers."""
-    return ((np.empty(grid.d * math.prod(shape), np.result_type(dtype, 1.0)),)
-            + _stencil_buffers(shape, dtype))
-
-
-def _scratch(shape: tuple, grid: GridSpec, buffers: tuple) -> tuple:
-    """Views of buffers (_buffers) through which _step steps a field of the
-    given shape: the gradient, (d, *shape), and grid._stencil_scratch."""
-    grad = buffers[0][:grid.d * math.prod(shape)].reshape((grid.d,) + shape)
-    return grad, _stencil_scratch(shape, grid.d, buffers[1:])
+def _scratch(psi: np.ndarray, grid: GridSpec) -> tuple:
+    """Scratch through which _step steps fields of psi's shape and dtype:
+    the gradient, (d, *psi.shape), and grid._stencil_scratch."""
+    return (np.empty((grid.d,) + psi.shape, np.result_type(psi, 1.0)),
+            _stencil_scratch(psi, grid.d))
 
 
 def _step(psi: np.ndarray, params: SchemeParams, out: np.ndarray, scratch: tuple) -> np.ndarray:
     """S(psi) into out, which shares no memory with psi, through scratch
-    (_scratch of psi's shape); returns out. The operations are those of the
+    (_scratch of psi); returns out. The operations are those of the
     formula, in its order, on the centred gradient and the Laplacian of
     grid._stencils; the result is formed in out, which holds the Laplacian
     first."""
@@ -98,9 +91,8 @@ def scheme_step(psi: np.ndarray, params: SchemeParams) -> np.ndarray:
     own: bit for bit the formula psi - dt * (H(grad_D psi) - eps * lap_D psi)
     composed from centered_gradient, discrete_laplacian and cost.eval_H, in
     that order of operations."""
-    g = params.grid
     out = np.empty(psi.shape, np.result_type(psi, 1.0))
-    return _step(psi, params, out, _scratch(psi.shape, g, _buffers(psi.shape, psi.dtype, g)))
+    return _step(psi, params, out, _scratch(psi, params.grid))
 
 
 def solve_ivp(phi0: np.ndarray, params: SchemeParams) -> np.ndarray:
@@ -124,8 +116,7 @@ def solve_ivp(phi0: np.ndarray, params: SchemeParams) -> np.ndarray:
         raise ValueError("initial data must be finite")
     out = np.empty((g.N_T + 1,) + np.shape(phi0), dtype=float)
     out[0] = phi0
-    shape = out.shape[1:]
-    scratch = _scratch(shape, g, _buffers(shape, out.dtype, g))
+    scratch = _scratch(out[0], g)
     for i in range(g.N_T):
         _step(out[i], params, out[i + 1], scratch)
     return out
@@ -159,8 +150,8 @@ def max_slope(psi: np.ndarray, grid: GridSpec) -> float:
     is then the maximum over its slices, NaN if any slice holds a NaN.
     """
     worst = None
-    for axis_scratch in _own_scratch(psi, grid.d):
-        fwd = _axis_diffs(psi, axis_scratch)[0]
+    for k, axis_scratch in enumerate(_stencil_scratch(psi, grid.d)):
+        fwd = _axis_diffs(psi, k - grid.d, axis_scratch)[0]
         top = np.maximum.reduce(np.abs(fwd, out=fwd), axis=None)
         # maximum, unlike max, keeps a NaN
         worst = top if worst is None else np.maximum(worst, top)
@@ -355,9 +346,9 @@ def check_monotone(params: SchemeParams, trials: int = 1000, seed: int = 0) -> M
     Trials run in batches of _BATCH elements (trials x cells), drawn in
     random_cr_pair's rng order and stepped as one field per side, with
     scheme_step's arithmetic, into buffers and through scratch allocated
-    once per call, so memory stays O(_BATCH + cells), with no cells x cells
-    table. Min, max
-    and the stencil are elementwise: for every seed the report equals that of
+    once per call (and once more for a shorter last batch), so memory stays
+    O(_BATCH + cells), with no cells x cells table. Min, max and the stencil
+    are elementwise: for every seed the report equals that of
     one-at-a-time trials.
     """
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
@@ -367,14 +358,16 @@ def check_monotone(params: SchemeParams, trials: int = 1000, seed: int = 0) -> M
     size = max(1, _BATCH // math.prod(g.space_shape))
     space = tuple(range(1, g.d + 1))
     steps = np.empty((2, size) + g.space_shape)
-    buffers = _buffers(steps.shape[1:], steps.dtype, g)
+    scratch = _scratch(steps[0], g)
     bad, worst = [0, 0], [0.0, 0.0]
     for start in range(0, trials, size):
         # fields 2t and 2t + 1 of a batch are the pair of its trial t
         count = 2 * min(size, trials - start)
         fields = _envelopes(*_draw_anchors(g, radius, rng, count), radius, g)
         lo, hi = np.minimum(fields[0::2], fields[1::2]), np.maximum(fields[0::2], fields[1::2])
-        scratch = _scratch(lo.shape, g, buffers)
+        if len(lo) < size:
+            # the last batch, shorter than the scratch
+            scratch = _scratch(lo, g)
         s_lo = _step(lo, params, steps[0, :len(lo)], scratch)
         s_hi = _step(hi, params, steps[1, :len(hi)], scratch)
         gap = np.max(s_lo - s_hi, axis=space)

@@ -32,8 +32,6 @@ def test_the_scheme_path_loads_no_scipy():
     loaded = run_fresh("""
 import json, sys
 import numpy as np
-import pytest
-
 import hjot
 q = hjot.QuadraticCost()
 g = hjot.make_grid(1, 1.0, 16, 16, q)
@@ -51,8 +49,6 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 def test_every_exported_name_resolves_and_the_modules_are_their_entries():
     missing, same = run_fresh("""
 import json, sys
-import pytest
-
 import hjot
 missing = [n for n in hjot.__all__ if not hasattr(hjot, n)]
 same = [getattr(hjot, m) is sys.modules["hjot." + m] for m in ("admm", "bench", "transport")]
@@ -67,8 +63,6 @@ def test_a_solve_loads_no_module():
     # the first solve
     added = run_fresh("""
 import json, sys, warnings
-import pytest
-
 import hjot
 q = hjot.QuadraticCost()
 g = hjot.make_grid(1, 1.0, 8, 8, q)
