@@ -24,8 +24,9 @@ centered_gradient and discrete_laplacian are one private kernel,
 _stencils, which writes either or both into buffers its caller passes,
 from one padded difference per axis in scratch its caller also passes
 (_stencil_scratch); the scheme (hj.py) calls it for both on scratch it
-allocates once per call. Every public stencil allocates its result, which shares no memory with the input. The
-arithmetic is that of the defining formulas, operation by operation. (The
+allocates once per call. Every public stencil allocates its result, which
+shares no memory with the input. The arithmetic is that of the defining
+formulas, operation by operation. (The
 ADMM iteration does not call the stencils: its operator is one sparse
 matrix assembled from them once, in transport.py.)
 """
