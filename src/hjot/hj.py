@@ -263,17 +263,16 @@ def _narrow(y, vals, best, lo, w, first: bool) -> None:
         lo[i, 0], w[i, 0] = a, b - a
 
 
-def _draw_anchors(grid: GridSpec, radius: float, rng: np.random.Generator, count: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _draw_anchors(grid: GridSpec, radius: float, anchor_rng: np.random.Generator,
+                  value_rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """(count, n, d) anchors and (count, n) values of count random_cr_field
-    draws, taken from rng in the order of consecutive calls."""
+    draws: one integers call on anchor_rng, then one uniform call on
+    value_rng. With two generators, consecutive calls draw what one call
+    for all their fields draws; random_cr_field passes one as both."""
     n_anchors = max(3, grid.N_X // 4)
-    anchors = np.empty((count, n_anchors, grid.d), dtype=np.int64)
-    values = np.empty((count, n_anchors))
-    for i in range(count):
-        anchors[i] = rng.integers(0, grid.N_X, size=(n_anchors, grid.d))
-        # amplitude of order radius*D so that several anchors stay active
-        values[i] = rng.uniform(-radius * grid.D, radius * grid.D, size=n_anchors)
+    anchors = anchor_rng.integers(0, grid.N_X, size=(count, n_anchors, grid.d))
+    # amplitude of order radius*D so that several anchors stay active
+    values = value_rng.uniform(-radius * grid.D, radius * grid.D, size=(count, n_anchors))
     return anchors, values
 
 
@@ -304,14 +303,17 @@ def random_cr_field(grid: GridSpec, radius: float, rng: np.random.Generator) -> 
 
     Built as a periodic McShane envelope min_k (c_k + radius * dx * dist(j, k))
     over max(3, N_X // 4) random anchors, with dist the l1 torus distance in
-    index space; the envelope inherits the per-axis slope bound.
+    index space; the envelope inherits the per-axis slope bound. The anchors
+    and then their values c_k are drawn from rng, one call each.
     """
-    return _envelopes(*_draw_anchors(grid, radius, rng, 1), radius, grid)[0]
+    return _envelopes(*_draw_anchors(grid, radius, rng, rng, 1), radius, grid)[0]
 
 
 def random_cr_pair(grid: GridSpec, radius: float, rng: np.random.Generator
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered pair psi <= psi' of slope-bounded fields (pointwise min/max)."""
+    """Ordered pair psi <= psi' of slope-bounded fields: the pointwise min
+    and max of two consecutive random_cr_field draws from rng. check_monotone
+    orders its pairs the same way but draws them from its own two streams."""
     a = random_cr_field(grid, radius, rng)
     b = random_cr_field(grid, radius, rng)
     return np.minimum(a, b), np.maximum(a, b)
@@ -341,20 +343,26 @@ def check_monotone(params: SchemeParams, trials: int = 1000, seed: int = 0) -> M
 
     For each trial draws psi <= psi' with slopes bounded by monotone_on and
     asserts S(psi) <= S(psi') elementwise, plus the sup-norm
-    non-expansiveness |S(psi) - S(psi')|_inf <= |psi - psi'|_inf.
+    non-expansiveness |S(psi) - S(psi')|_inf <= |psi - psi'|_inf. A trial
+    violates either one unless its gap or excess is at most 1e-12, so a NaN
+    counts as a violation, and a NaN worst value stays NaN.
 
-    Trials run in batches of _BATCH elements (trials x cells), drawn in
-    random_cr_pair's rng order and stepped as one field per side, with
-    scheme_step's arithmetic, into buffers and through scratch allocated
-    once per call (and once more for a shorter last batch), so memory stays
-    O(_BATCH + cells), with no cells x cells table. Min, max and the stencil
-    are elementwise: for every seed the report equals that of
-    one-at-a-time trials.
+    The seed spawns two child generators, default_rng(seed).spawn(2): the
+    first draws every field's anchors, the second their values. Trial t
+    takes fields 2t and 2t + 1, each random_cr_field's McShane envelope,
+    ordered as by random_cr_pair. Trials run in batches of _BATCH elements
+    (trials x cells), each drawn with one call per kind and stepped as one
+    field per side, with scheme_step's arithmetic, into buffers and through
+    scratch allocated once per call (and once more for a shorter last
+    batch), so memory stays O(_BATCH + cells), with no cells x cells table.
+    Draws in batches equal one draw of all trials, and min, max and the
+    stencil are elementwise: for every seed the report is that of the same
+    trials run one at a time, whatever _BATCH is.
     """
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ValueError(f"trials must be at least 1 and an integer, got {trials!r}")
     g, radius = params.grid, params.monotone_on
-    rng = np.random.default_rng(seed)
+    anchor_rng, value_rng = np.random.default_rng(seed).spawn(2)
     size = max(1, _BATCH // math.prod(g.space_shape))
     space = tuple(range(1, g.d + 1))
     steps = np.empty((2, size) + g.space_shape)
@@ -363,18 +371,20 @@ def check_monotone(params: SchemeParams, trials: int = 1000, seed: int = 0) -> M
     for start in range(0, trials, size):
         # fields 2t and 2t + 1 of a batch are the pair of its trial t
         count = 2 * min(size, trials - start)
-        fields = _envelopes(*_draw_anchors(g, radius, rng, count), radius, g)
+        fields = _envelopes(*_draw_anchors(g, radius, anchor_rng, value_rng, count), radius, g)
         lo, hi = np.minimum(fields[0::2], fields[1::2]), np.maximum(fields[0::2], fields[1::2])
         if len(lo) < size:
             # the last batch, shorter than the scratch
             scratch = _scratch(lo, g)
         s_lo = _step(lo, params, steps[0, :len(lo)], scratch)
         s_hi = _step(hi, params, steps[1, :len(hi)], scratch)
-        gap = np.max(s_lo - s_hi, axis=space)
-        excess = np.max(np.abs(s_lo - s_hi), axis=space) - np.max(np.abs(lo - hi), axis=space)
+        diff = np.subtract(s_lo, s_hi, out=s_lo)
+        gap = np.max(diff, axis=space)
+        excess = np.max(np.abs(diff, out=diff), axis=space) - np.max(np.abs(lo - hi), axis=space)
         for i, value in enumerate((gap, excess)):
-            over = value[value > 1e-12]
+            # not <=, so that a NaN counts, and maximum, which keeps a NaN
+            over = value[~(value <= 1e-12)]
             if over.size:
                 bad[i] += over.size
-                worst[i] = max(worst[i], float(over.max()))
+                worst[i] = float(np.maximum(worst[i], over.max()))
     return MonotoneReport(trials, bad[0], worst[0], bad[1], worst[1])

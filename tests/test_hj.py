@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hjot import hj
 from hjot.cost import PowerCost, QuadraticCost, make_cost
 from hjot.grid import GridSpec, centered_gradient, discrete_laplacian, forward_gradient, make_grid
 from hjot.hj import (
@@ -303,11 +304,14 @@ def test_monotonicity_fails_without_viscosity(quad):
 
 
 def _sequential_report(params, trials, seed):
-    # check_monotone's trials one at a time, as it ran them before batching
-    rng = np.random.default_rng(seed)
+    # check_monotone's trials one at a time: each field's anchors from the
+    # first child stream of the seed, its values from the second
+    anchor_rng, value_rng = np.random.default_rng(seed).spawn(2)
     mono_bad, mono_worst, nonexp_bad, nonexp_worst = 0, 0.0, 0, 0.0
     for _ in range(trials):
-        lo, hi = random_cr_pair(params.grid, params.monotone_on, rng)
+        a = _mcshane_reference(params.grid, params.monotone_on, anchor_rng, value_rng)
+        b = _mcshane_reference(params.grid, params.monotone_on, anchor_rng, value_rng)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
         s_lo = scheme_step(lo, params)
         s_hi = scheme_step(hi, params)
         gap = float(np.max(s_lo - s_hi))
@@ -339,6 +343,51 @@ def test_check_monotone_equals_sequential_trials(quad, d, n_t, n_x, admissible, 
     assert report.ok == admissible
 
 
+@pytest.mark.parametrize("d, n_x, eps, trials", [
+    (1, 48, None, 301), (1, 48, 0.0, 301), (2, 13, 0.0, 77), (1, 7, 0.0, 1),
+], ids=["d1-n48", "d1-n48-eps0", "d2-n13-eps0", "one-trial"])
+def test_check_monotone_does_not_depend_on_the_batch_size(quad, monkeypatch, d, n_x, eps, trials):
+    g = make_grid(d, 1.0, 2 * d * n_x, n_x, quad)
+    if eps is None:
+        params = make_scheme(g, quad)
+    else:
+        params = SchemeParams(GridSpec(d=d, D=1.0, N_T=g.N_T, N_X=n_x, eps=eps, R=g.R), quad)
+    cells = math.prod(g.space_shape)
+    reports = []
+    # one trial a batch; 7 a batch, so the last batch is partial; all in one
+    for batch in (1, 7 * cells, 1 << 20):
+        monkeypatch.setattr(hj, "_BATCH", batch)
+        reports.append(check_monotone(params, trials=trials, seed=4))
+    assert reports[1:] == reports[:-1]
+    assert reports[0].ok == (eps is None)
+
+
+class _NaNCost(QuadraticCost):
+    """A quadratic cost whose Hamiltonian is NaN at every point."""
+
+    def eval_H(self, w):
+        return np.full(np.shape(w)[1:], np.nan)
+
+
+@pytest.mark.parametrize("d, n_x", [(1, 16), (1, 128), (2, 8)])
+def test_check_monotone_counts_nan_steps(quad, d, n_x):
+    g = make_grid(d, 1.0, 2 * d * n_x, n_x, quad)
+    report = check_monotone(SchemeParams(g, _NaNCost()), trials=50, seed=0)
+    assert not report.ok
+    assert report.monotone_violations == report.nonexpansive_violations == 50
+    assert math.isnan(report.max_monotone_violation)
+    assert math.isnan(report.max_expansion_excess)
+
+
+def test_check_monotone_counts_an_overflowing_viscosity(quad):
+    # eps * lap overflows to inf, and some steps to NaN: every trial violates
+    g = make_grid(1, 1.0, 16, 16, quad)
+    params = SchemeParams(GridSpec(d=1, D=1.0, N_T=16, N_X=16, eps=1e308, R=g.R), quad)
+    with np.errstate(all="ignore"):
+        report = check_monotone(params, trials=50, seed=0)
+    assert report.monotone_violations == report.nonexpansive_violations == 50
+
+
 @pytest.mark.parametrize("n, trials", [(128, 2000), (256, 500)])
 def test_check_monotone_memory_stays_small(quad, n, trials):
     # the trial batches bound the temporaries; a table of cells x cells
@@ -354,11 +403,13 @@ def test_check_monotone_memory_stays_small(quad, n, trials):
     assert peak < 2e6
 
 
-def _mcshane_reference(grid, radius, rng):
-    # random_cr_field's formula as first written, one (anchors, cells) array
+def _mcshane_reference(grid, radius, rng, value_rng=None):
+    # random_cr_field's formula as first written, one (anchors, cells) array;
+    # the values come from value_rng if given, else from rng after the anchors
     n_anchors = max(3, grid.N_X // 4)
     anchors = rng.integers(0, grid.N_X, size=(n_anchors, grid.d))
-    values = rng.uniform(-radius * grid.D, radius * grid.D, size=n_anchors)
+    values = (rng if value_rng is None else value_rng).uniform(
+        -radius * grid.D, radius * grid.D, size=n_anchors)
     idx = np.indices(grid.space_shape)
     dist = np.zeros((n_anchors,) + grid.space_shape)
     for k in range(grid.d):

@@ -1,4 +1,4 @@
-"""Print a fingerprint of fifteen CLI runs: exit codes, stdout and artifacts, by hash.
+"""Print a fingerprint of sixteen CLI runs: exit codes, stdout and artifacts, by hash.
 
 Usage (hjot is imported from PYTHONPATH):
 
@@ -61,6 +61,8 @@ RUNS = (
     # a penalty so small that |w|^2/2 overflows in the first projection
     ["solve", "--case", "2", "--n", "16", "--admm-r", "1e-200"],
     ["hj-ivp", "--n", "16,16"],
+    # eps * lap overflows, and some steps turn NaN: each must count as a violation
+    ["verify-scheme", "--n", "16", "--trials", "50", "--eps", "1e308"],
 )
 
 
