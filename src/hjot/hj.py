@@ -171,7 +171,8 @@ def hopf_lax(phi0, t: float, x, cost: CostModel, grid: GridSpec):
 
     phi0 is an elementwise callable on arrays of canonical torus
     coordinates. x is a float, which gives a float, or an array of points,
-    which gives an array of its shape. The infimum is approximated by
+    which gives an array of its shape; a float goes through the array path
+    as one point. The infimum is approximated by
     scanning displacements |x - y| <= lip_H(R) t + dx (the maximal
     characteristic speed for slope-R data) on a grid 8 times finer than dx.
     The two cells around the best candidate are then refined in rounds: each
@@ -197,14 +198,12 @@ def hopf_lax(phi0, t: float, x, cost: CostModel, grid: GridSpec):
     if t == 0.0:
         return float(phi0(xs)) if xs.ndim == 0 else np.array(phi0(xs), dtype=float)
     offsets = _scan_offsets(cost.lip_H(grid.R) * t + grid.dx, grid.dx / 8)
-    if xs.ndim == 0:
-        return float(_hopf_lax_rows(phi0, t, xs.reshape(1, 1), offsets, cost, grid.D)[0])
     flat = xs.reshape(-1, 1)
     out = np.empty(len(flat))
     block = max(1, _SCAN_BLOCK // len(offsets))
     for s in range(0, len(flat), block):
         out[s:s + block] = _hopf_lax_rows(phi0, t, flat[s:s + block], offsets, cost, grid.D)
-    return out.reshape(xs.shape)
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 @functools.lru_cache(maxsize=8)
@@ -219,45 +218,36 @@ def _scan_offsets(window: float, fine: float) -> np.ndarray:
 def _hopf_lax_rows(phi0, t, x, offsets, cost, D):
     """hopf_lax's scan and refinement for the column of points x, (m, 1).
 
-    The scan and each round evaluate all their rows in one value call. Each
-    row's bracket is a column entry of lo and of its width w. The rows are
-    ordered by their round count, largest first, so the rows still refining
-    in a round are a leading block of the arrays.
+    The scan and each round evaluate all rows in one value call. Each row's
+    bracket is a column entry of lo and of its width w. The scan is round 0;
+    a row takes part in rounds 1 to its own round count, and _narrow leaves
+    it as it is in the later rounds.
     """
     def value(y):
-        return phi0(wrap(y, D)) + t * cost.eval_L((x[:len(y)] - y)[None] / t)
+        return phi0(wrap(y, D)) + t * cost.eval_L((x - y)[None] / t)
 
     m = len(x)
     best, lo, w = np.empty(m), np.empty((m, 1)), np.empty((m, 1))
     y = x + offsets
-    _narrow(y, value(y), best, lo, w, True)
+    _narrow(y, value(y), best, lo, w, [0] * m, 0)
     rounds = [max(0, math.ceil(math.log(v, _SHRINK))) for v in (w / 1e-10).ravel().tolist()]
-    order = sorted(range(m), key=rounds.__getitem__, reverse=True)
-    moved = order != list(range(m))
-    if moved:
-        x, best, lo, w = x[order], best[order], lo[order], w[order]
-        rounds = [rounds[i] for i in order]
-    live = m
-    for r in range(rounds[0]):
-        while rounds[live - 1] <= r:
-            live -= 1
-        y = lo[:live] + w[:live] * _ROUND
-        _narrow(y, value(y), best, lo, w, False)
-    if not moved:
-        return best
-    out = np.empty(m)
-    out[order] = best
-    return out
+    for r in range(1, max(rounds) + 1):
+        y = lo + w * _ROUND
+        _narrow(y, value(y), best, lo, w, rounds, r)
+    return best
 
 
-def _narrow(y, vals, best, lo, w, first: bool) -> None:
-    """For each row i of y: the two cells around the argmin of vals[i] become
-    its bracket, lo[i] and width w[i], and best[i] takes the value there if
-    first or if it is smaller, as min(best, value) compares floats."""
+def _narrow(y, vals, best, lo, w, rounds, r: int) -> None:
+    """Round r for each row i of y whose round count rounds[i] is at least
+    r: the two cells around the argmin of vals[i] become its bracket, lo[i]
+    and width w[i], and best[i] takes the value there if r is 0, the scan,
+    or if it is smaller, as min(best, value) compares floats."""
     last = y.shape[1] - 1
     for i, j in enumerate(vals.argmin(axis=1).tolist()):
+        if rounds[i] < r:
+            continue
         v = vals[i, j]
-        if first or v < best[i]:
+        if r == 0 or v < best[i]:
             best[i] = v
         a, b = y[i, max(j - 1, 0)], y[i, min(j + 1, last)]
         lo[i, 0], w[i, 0] = a, b - a
@@ -347,38 +337,33 @@ def check_monotone(params: SchemeParams, trials: int = 1000, seed: int = 0) -> M
     violates either one unless its gap or excess is at most 1e-12, so a NaN
     counts as a violation, and a NaN worst value stays NaN.
 
-    The seed spawns two child generators, default_rng(seed).spawn(2): the
-    first draws every field's anchors, the second their values. Trial t
-    takes fields 2t and 2t + 1, each random_cr_field's McShane envelope,
-    ordered as by random_cr_pair. Trials run in batches of _BATCH elements
-    (trials x cells), each drawn with one call per kind and stepped as one
-    field per side, with scheme_step's arithmetic, into buffers and through
-    scratch allocated once per call (and once more for a shorter last
-    batch), so memory stays O(_BATCH + cells), with no cells x cells table.
-    Draws in batches equal one draw of all trials, and min, max and the
-    stencil are elementwise: for every seed the report is that of the same
-    trials run one at a time, whatever _BATCH is.
+    The seed, a non-negative integer, spawns two child generators,
+    default_rng(seed).spawn(2): the first draws every field's anchors, the
+    second their values. Trial t takes fields 2t and 2t + 1, each
+    random_cr_field's McShane envelope, ordered as by random_cr_pair. Trials
+    run in batches of _BATCH elements (trials x cells), each drawn with one
+    call per kind and stepped by scheme_step, one call per side, so memory
+    stays O(_BATCH + cells), with no cells x cells table. Draws in batches
+    equal one draw of all trials, and min, max and the stencil are
+    elementwise: for every seed the report is that of the same trials run
+    one at a time, whatever _BATCH is.
     """
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ValueError(f"trials must be at least 1 and an integer, got {trials!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     g, radius = params.grid, params.monotone_on
     anchor_rng, value_rng = np.random.default_rng(seed).spawn(2)
     size = max(1, _BATCH // math.prod(g.space_shape))
     space = tuple(range(1, g.d + 1))
-    steps = np.empty((2, size) + g.space_shape)
-    scratch = _scratch(steps[0], g)
     bad, worst = [0, 0], [0.0, 0.0]
     for start in range(0, trials, size):
         # fields 2t and 2t + 1 of a batch are the pair of its trial t
         count = 2 * min(size, trials - start)
         fields = _envelopes(*_draw_anchors(g, radius, anchor_rng, value_rng, count), radius, g)
         lo, hi = np.minimum(fields[0::2], fields[1::2]), np.maximum(fields[0::2], fields[1::2])
-        if len(lo) < size:
-            # the last batch, shorter than the scratch
-            scratch = _scratch(lo, g)
-        s_lo = _step(lo, params, steps[0, :len(lo)], scratch)
-        s_hi = _step(hi, params, steps[1, :len(hi)], scratch)
-        diff = np.subtract(s_lo, s_hi, out=s_lo)
+        diff = scheme_step(lo, params)
+        diff -= scheme_step(hi, params)
         gap = np.max(diff, axis=space)
         excess = np.max(np.abs(diff, out=diff), axis=space) - np.max(np.abs(lo - hi), axis=space)
         for i, value in enumerate((gap, excess)):

@@ -34,14 +34,12 @@ def wrap(x, D: float = 1.0):
 class AnalyticMeasure:
     """A probability measure given by its cumulative mass or by atoms.
 
-    :param descriptor: short tag (uniform, cosine, triangle, ...)
     :param cdf: vectorized cumulative mass F on lifted coordinates of the
         unit torus, or None: F is nondecreasing on R and F(x + 1) = F(x) +
         mass, so the mass of [x0, x1) with x0 <= x1 <= x0 + 1 is F(x1) - F(x0)
     :param atoms: list of (location, mass), or None
     """
 
-    descriptor: str
     cdf: Callable[[np.ndarray], np.ndarray] | None = None
     atoms: tuple[tuple[float, float], ...] | None = None
 
@@ -80,7 +78,7 @@ class AnalyticSolution:
 
     def slice_measure(self, t: float) -> AnalyticMeasure:
         """The time-t interpolating measure as an AnalyticMeasure."""
-        return AnalyticMeasure(descriptor=f"rho(t={t:g})", cdf=lambda x: self.cdf(t, x))
+        return AnalyticMeasure(cdf=lambda x: self.cdf(t, x))
 
 
 def _lifted(cdf_c):
@@ -117,36 +115,36 @@ def _cosine_cdf(w: float):
 
 
 def uniform() -> AnalyticMeasure:
-    return AnalyticMeasure("uniform", cdf=lambda x: np.asarray(x, dtype=float))
+    return AnalyticMeasure(cdf=lambda x: np.asarray(x, dtype=float))
 
 
 def cosine(w: float) -> AnalyticMeasure:
     """Density 1 + cos(2 pi w x)/2; unit mass for integer w."""
-    return AnalyticMeasure("cosine", cdf=_cosine_cdf(w))
+    return AnalyticMeasure(cdf=_cosine_cdf(w))
 
 
 def triangle(w: float) -> AnalyticMeasure:
     """Triangular bump of half-width w at the origin, unit mass."""
-    return AnalyticMeasure("triangle", cdf=_triangle_cdf(w))
+    return AnalyticMeasure(cdf=_triangle_cdf(w))
 
 
 def double_triangle(w: float) -> AnalyticMeasure:
     """Triangular bump of doubled half-width 2w, unit mass."""
-    return AnalyticMeasure("double_triangle", cdf=_triangle_cdf(2.0 * w))
+    return AnalyticMeasure(cdf=_triangle_cdf(2.0 * w))
 
 
 def box(w: float) -> AnalyticMeasure:
     """Uniform density on |x| <= w, unit mass."""
-    return AnalyticMeasure("box", cdf=_box_pair_cdf(0.0, w))
+    return AnalyticMeasure(cdf=_box_pair_cdf(0.0, w))
 
 
 def double_box(w: float) -> AnalyticMeasure:
     """Uniform density on the band 1/2 - |x| <= w around the seam, unit mass."""
-    return AnalyticMeasure("double_box", cdf=_box_pair_cdf(0.5 - w, 0.5))
+    return AnalyticMeasure(cdf=_box_pair_cdf(0.5 - w, 0.5))
 
 
 def dirac(x0: float) -> AnalyticMeasure:
-    return AnalyticMeasure("dirac", atoms=((float(x0), 1.0),))
+    return AnalyticMeasure(atoms=((float(x0), 1.0),))
 
 
 def _atom_index(x: float, grid: GridSpec) -> int:

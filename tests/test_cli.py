@@ -360,11 +360,14 @@ def test_config_resolved_has_no_seed(tmp_path, command):
     (["solve", "--case", "1", "--n", "8", "--param", "nan"], "nonzero integer w, got nan"),
     (["hj-ivp", "--n", "16,16"], "strictly ascending"),
     (["hj-ivp", "--n", "32,16"], "strictly ascending"),
+    (["verify-scheme", "--n", "16", "--trials", "5", "--seed", "-1"],
+     "seed must be a non-negative integer, got -1"),
 ], ids=["solve-case9", "solve-zeta", "sweep-case9", "verify-empty-interval",
         "solve-stop-tol-nan", "verify-trials0", "verify-trials-neg", "solve-clamp-R-nan",
         "solve-clamp-R-inf", "verify-clamp-R-inf",
         "verify-eps-nan", "solve-zeta-inf", "solve-zeta-1e308", "verify-zeta-inf",
-        "solve-param-inf", "solve-param-nan", "hj-ivp-repeated-n", "hj-ivp-descending-n"])
+        "solve-param-inf", "solve-param-nan", "hj-ivp-repeated-n", "hj-ivp-descending-n",
+        "verify-seed-neg"])
 def test_rejected_run_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 3

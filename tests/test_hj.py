@@ -295,6 +295,15 @@ def test_check_monotone_needs_a_trial(params4, trials):
         check_monotone(params4, trials=trials)
 
 
+@pytest.mark.parametrize("seed", [-1, True, False, 2.0, 0.5, "3", None])
+def test_check_monotone_needs_a_non_negative_integer_seed(params4, seed):
+    # numpy's own message for a negative seed names neither the key nor the
+    # value, and numpy takes a bool as a seed
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be a non-negative integer, got {seed!r}")):
+        check_monotone(params4, trials=1, seed=seed)
+
+
 def test_monotonicity_fails_without_viscosity(quad):
     g0 = GridSpec(d=1, D=1.0, N_T=16, N_X=16, eps=0.0, R=0.5)
     params = SchemeParams(grid=g0, cost=quad)

@@ -64,12 +64,12 @@ def test_project_rejects_an_atom_at_a_non_finite_location(x0):
     for n in (3, 5, 8):
         with pytest.raises(ValueError, match=f"non-finite location {x0!r}"):
             project_measure(dirac(x0), grid_1d(n))
-    mixed = AnalyticMeasure("atoms", atoms=((0.25, 0.5), (x0, 0.5)))
+    mixed = AnalyticMeasure(atoms=((0.25, 0.5), (x0, 0.5)))
     with pytest.raises(ValueError, match="non-finite location"):
         project_measure(mixed, grid_1d(8))
 
 
-@pytest.mark.parametrize("mu", [dirac(0.25), uniform()], ids=lambda m: m.descriptor)
+@pytest.mark.parametrize("mu", [dirac(0.25), uniform()], ids=["dirac", "uniform"])
 def test_project_rejects_a_grid_of_more_than_one_axis(mu):
     # an atom's location is one coordinate: on a d = 2 grid it used to fill
     # a whole row of cells, mass 4.0 at N_X = 4
@@ -106,7 +106,7 @@ def test_project_double_box_seam():
     "mu",
     [uniform(), cosine(1.0), triangle(0.2), double_triangle(0.2),
      box(0.05), double_box(0.05), dirac(0.3)],
-    ids=lambda m: m.descriptor,
+    ids=["uniform", "cosine", "triangle", "double_triangle", "box", "double_box", "dirac"],
 )
 def test_projection_conserves_mass(mu, n):
     pi = project_measure(mu, grid_1d(n))
@@ -167,8 +167,8 @@ def _box_pair_density(lo, hi):
             (-hi, -lo, lo, hi))
 
 
-def _marginal(mu, density, breakpoints=()):
-    return pytest.param(mu, density, breakpoints, id=mu.descriptor)
+def _marginal(name, mu, density, breakpoints=()):
+    return pytest.param(mu, density, breakpoints, id=name)
 
 
 def _slice(case_id, t):
@@ -189,13 +189,13 @@ def _slice(case_id, t):
 
 
 PROJECTED = [
-    _marginal(uniform(), lambda x: np.ones_like(x)),
-    _marginal(cosine(1.0), lambda x: 1.0 + 0.5 * np.cos(2.0 * np.pi * x)),
-    _marginal(cosine(2.0), lambda x: 1.0 + 0.5 * np.cos(4.0 * np.pi * x)),
-    _marginal(triangle(0.2), *_triangle_density(0.2)),
-    _marginal(double_triangle(0.2), *_triangle_density(0.4)),
-    _marginal(box(0.05), *_box_pair_density(0.0, 0.05)),
-    _marginal(double_box(0.05), *_box_pair_density(0.45, 0.5)),
+    _marginal("uniform", uniform(), lambda x: np.ones_like(x)),
+    _marginal("cosine", cosine(1.0), lambda x: 1.0 + 0.5 * np.cos(2.0 * np.pi * x)),
+    _marginal("cosine", cosine(2.0), lambda x: 1.0 + 0.5 * np.cos(4.0 * np.pi * x)),
+    _marginal("triangle", triangle(0.2), *_triangle_density(0.2)),
+    _marginal("double_triangle", double_triangle(0.2), *_triangle_density(0.4)),
+    _marginal("box", box(0.05), *_box_pair_density(0.0, 0.05)),
+    _marginal("double_box", double_box(0.05), *_box_pair_density(0.45, 0.5)),
 ] + [_slice(case_id, t) for case_id in (1, 2, 3) for t in (0.0, 0.3, 0.5, 0.75, 1.0)]
 
 

@@ -3,6 +3,7 @@ name; a rename in hjot must fail here, not only in a traced benchmark run.
 The tracer module is loaded by path and nothing in perfbench/ is changed.
 """
 import importlib.util
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import hjot.measures
 import hjot.transport
 from hjot.cost import QuadraticCost
 from hjot.grid import make_grid
+from hjot.hj import make_scheme
 from hjot.measures import build_test_case, project_measure
 from hjot.transport import assemble_problem
 
@@ -61,3 +63,21 @@ def test_tracer_reaches_every_kernel_of_the_iteration():
     assert counts["transport.apply_transpose"] == iters + refreshes + 1
     assert counts["transport.objective_FD"] == 1
     assert counts["admm.solve"] == counts["admm.phi_solver.init"] == 1
+
+
+@needs_spans
+def test_tracer_sees_both_steps_of_every_monotonicity_batch():
+    # check_monotone steps each batch through scheme_step, once per side;
+    # steps taken out of the tracer's reach would leave hj.scheme_step at 0
+    quad = QuadraticCost()
+    grid = make_grid(1, 1.0, 128, 128, quad)
+    params = make_scheme(grid, quad)
+    trials = 777
+    batches = math.ceil(trials / (hjot.hj._BATCH // grid.N_X))
+    assert batches > 1
+    with load_spans().Tracer().installed(hjot) as tracer:
+        hjot.hj.check_monotone(params, trials=trials, seed=0)
+    names = [span[0] for span in tracer.spans]
+    assert Counter(names)["hj.scheme_step"] == 2 * batches
+    root = names.index("hj.check_monotone")
+    assert all(span[3] == root for span in tracer.spans if span[0] == "hj.scheme_step")

@@ -1,4 +1,4 @@
-"""Print a fingerprint of sixteen CLI runs: exit codes, stdout and artifacts, by hash.
+"""Print a fingerprint of seventeen CLI runs: exit codes, stdout and artifacts, by hash.
 
 Usage (hjot is imported from PYTHONPATH):
 
@@ -20,10 +20,12 @@ the same stdout and write byte-identical artifacts; two trees whose oracle
 differs in rounding are compared by the sup_error values.
 
 With --against FILE, a saved output of this script, it compares this run
-with FILE line by line after the first, prints one line naming each run
-(its arguments, and the resolution of a sup_error line) or artifact (its
-path) whose line differs or is missing on either side, then a count of the
-equal lines. It exits 1 on any difference and 0 otherwise.
+with FILE after the first line, matching each line by the run (its
+arguments, and the resolution of a sup_error line) or artifact (its path)
+it describes, so a run added or dropped shows alone. It prints one line
+naming each run or artifact whose line differs or is missing on either
+side, then a count of the equal lines. It exits 1 on any difference and 0
+otherwise.
 """
 import argparse
 import contextlib
@@ -35,7 +37,6 @@ import re
 import sys
 import tempfile
 import traceback
-from itertools import zip_longest
 
 import hjot
 from hjot.cli import main as cli_main
@@ -63,6 +64,8 @@ RUNS = (
     ["hj-ivp", "--n", "16,16"],
     # eps * lap overflows, and some steps turn NaN: each must count as a violation
     ["verify-scheme", "--n", "16", "--trials", "50", "--eps", "1e308"],
+    # a negative seed is rejected, naming the key and the value
+    ["verify-scheme", "--n", "16", "--trials", "5", "--seed", "-1"],
 )
 
 
@@ -127,27 +130,32 @@ def label(line: str, run: str) -> str:
     return f"{run} {first}" if first.startswith("N=") else first
 
 
+def labelled(lines: list[str]) -> dict[str, str]:
+    """Each line of a fingerprint under the label of the run or artifact it
+    describes, in order."""
+    out, run = {}, ""
+    for line in lines:
+        name = label(line, run)
+        if not line.startswith("  "):
+            run = name
+        out[name] = line
+    return out
+
+
 def compare(saved: list[str], current: list[str]) -> bool:
     """Print the runs and artifacts whose lines differ; True if none does."""
-    equal, runs = 0, ["", ""]
-    for old, new in zip_longest(saved, current):
-        names = []
-        for i, line in enumerate((old, new)):
-            if line is not None:
-                names.append(label(line, runs[i]))
-                if not line.startswith("  "):
-                    runs[i] = names[-1]
-        if old == new:
+    old, new = labelled(saved), labelled(current)
+    names = list(dict.fromkeys([*old, *new]))
+    equal = 0
+    for name in names:
+        if old.get(name) == new.get(name):
             equal += 1
             continue
-        where = names[0] if old is None or new is None or names[0] == names[1] \
-            else " / ".join(names)
-        side = "missing from FILE" if old is None else "missing from this run" \
-            if new is None else "differs"
-        print(f"{where} {side}")
-    total = max(len(saved), len(current))
-    print(f"{equal}/{total} lines equal")
-    return equal == total
+        side = "missing from FILE" if name not in old else "missing from this run" \
+            if name not in new else "differs"
+        print(f"{name} {side}")
+    print(f"{equal}/{len(names)} lines equal")
+    return equal == len(names)
 
 
 def main(argv=None) -> int:
