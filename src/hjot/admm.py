@@ -229,7 +229,7 @@ class Stepper:
 
     def __init__(self, problem: TransportProblem, r: float):
         g = problem.grid
-        _, hi = viscosity_interval(problem.cost, g.R, g.d, g.dt, g.dx)
+        _, hi = viscosity_interval(g, problem.cost)
         if g.eps / g.dx > hi + 1e-12 * max(1.0, hi):  # pttrf can fail there
             raise ValueError(f"eps/dx = {g.eps / g.dx:g} above dx/(2 d dt) = {hi:g}, "
                              "where the scheme is not monotone")

@@ -109,10 +109,7 @@ class QuadraticCost(CostModel):
         half_b2 *= 0.5
         np.add(a, half_b2, out=tmp)
         np.greater(tmp, 0, out=mask)
-        if not mask.any():
-            np.copyto(s, a)
-            np.copyto(w, b)
-            return s, w
+        # not less_equal, which would leave a NaN cell out of the feasible ones
         np.logical_not(mask, out=mask)  # the feasible cells
         _cubic_start(a, half_b2, lam, opl, opl2, tmp, g)
         np.copyto(lam, 0.0, where=mask)  # exactly 0, however cbrt rounds

@@ -10,6 +10,9 @@ numpy arrays with the following shape conventions:
 - scalar field on Q'_D:     shape (N_T,   *spatial)   (last slice dropped)
 - vector fields carry a leading axis of length d
 
+GridSpec checks its fields at construction; its monotone_radius and
+viscosity_interval state once the rule that keeps the scheme monotone.
+
 The scheme has three stencils, each acting on the whole field:
 discrete_laplacian (lap_D), centered_gradient (grad_D) and
 forward_gradient (fwd_D, plain differences); the gradients put one
@@ -36,7 +39,7 @@ import functools
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,8 +77,10 @@ class GridSpec:
             raise ValueError(f"d, N_T, N_X must be positive integers, got {counts}")
         if self.D <= 0:
             raise ValueError("period D must be positive")
-        if self.eps < 0 or self.R <= 0:
-            raise ValueError("eps must be >= 0 and R > 0")
+        if self.R <= 0:
+            raise ValueError(f"R must be positive, got {self.R!r}")
+        if self.eps < 0:
+            raise ValueError(f"eps must be >= 0, got {self.eps!r}")
 
     @property
     def dt(self) -> float:
@@ -96,6 +101,12 @@ class GridSpec:
         return self.dt
 
     @property
+    def monotone_radius(self) -> float:
+        """The slope radius R + DELTA_FRACTION*R on which the scheme must be
+        monotone."""
+        return (1.0 + DELTA_FRACTION) * self.R
+
+    @property
     def space_shape(self) -> tuple[int, ...]:
         return (self.N_X,) * self.d
 
@@ -108,57 +119,44 @@ class GridSpec:
         return np.arange(self.N_T + 1) * self.dt
 
 
-def default_monotone_radius(R: float) -> float:
-    """The slope radius R + DELTA_FRACTION*R on which the scheme must be
-    monotone."""
-    return (1.0 + DELTA_FRACTION) * R
-
-
-def viscosity_interval(cost, radius: float, d: int, dt: float, dx: float) -> tuple[float, float]:
-    """Admissible interval [lip_H(radius)/2, dx/(2 d dt)] for eps/dx.
-
-    With eps/dx in it the scheme is monotone on fields whose difference
-    quotients are bounded by radius; it is empty when dt is too large
-    relative to dx.
-    """
-    return cost.lip_H(radius) / 2.0, dx / (2.0 * d * dt)
+def viscosity_interval(grid: GridSpec, cost) -> tuple[float, float]:
+    """Admissible interval [lip_H(grid.monotone_radius)/2, dx/(2 d dt)] for
+    eps/dx, whatever grid.eps is: with eps/dx in it the scheme is monotone
+    on fields whose difference quotients are bounded by
+    grid.monotone_radius. It is empty when dt is too large relative to dx."""
+    return cost.lip_H(grid.monotone_radius) / 2.0, grid.dx / (2.0 * grid.d * grid.dt)
 
 
 def make_grid(d: int, D: float, N_T: int, N_X: int, cost,
               R: float | None = None) -> GridSpec:
     """Build a GridSpec with the minimal admissible viscosity.
 
-    eps is set to the lower end of viscosity_interval times dx, at the
-    slightly enlarged slope radius default_monotone_radius(R) on which
-    monotonicity is required (the radius hj.make_scheme checks). The
-    construction fails loudly when that interval is empty.
+    GridSpec checks the inputs before the viscosity is derived from them.
+    eps is the lower end of viscosity_interval times dx, at the slightly
+    enlarged slope radius grid.monotone_radius (the one hj.make_scheme
+    checks). The construction fails loudly when that interval is empty.
 
     :param cost: CostModel providing lip_L / lip_H
     :param R: slope clamp; defaults to lip_L(diam), the Lipschitz constant
         of the cost on the ball of radius diam(Omega)
     """
-    diam = D * np.sqrt(d) / 2.0
     if R is None:
-        R = float(cost.lip_L(diam))
-    # before the viscosity interval, which an infinite R would make empty
-    if not math.isfinite(R):
-        raise ValueError(f"R must be finite, got {R!r}")
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R!r}")
-    monotone_radius = default_monotone_radius(R)
-    dx = D / N_X
-    lo, hi = viscosity_interval(cost, monotone_radius, d, 1.0 / N_T, dx)
+        R = float(cost.lip_L(D * np.sqrt(d) / 2.0))
+    grid = GridSpec(d=d, D=D, N_T=N_T, N_X=N_X, eps=0.0, R=R)
+    lo, hi = viscosity_interval(grid, cost)
     if lo > hi:
         raise ValueError(
-            f"no admissible viscosity: lip_H({monotone_radius:g})/2 = {lo:g} "
+            f"no admissible viscosity: lip_H({grid.monotone_radius:g})/2 = {lo:g} "
             f"exceeds dx/(2 d dt) = {hi:g}; decrease dt/dx or R")
-    eps = lo * dx
-    return GridSpec(d=d, D=D, N_T=N_T, N_X=N_X, eps=eps, R=R)
+    return replace(grid, eps=lo * grid.dx)
 
 
 def fit_rate(points) -> float:
-    """OLS slope of log(error) vs log(h); nonpositive errors are dropped."""
+    """OLS slope of log(error) vs log(h), h > 0; nonpositive errors are dropped."""
     pts = [(h, e) for h, e in points]
+    for h, e in pts:
+        if not 0 < h < math.inf:
+            raise ValueError(f"fit_rate: h must be finite and positive, got the point {(h, e)!r}")
     kept = [(h, e) for h, e in pts if e > 0]
     if len(kept) < len(pts):
         warnings.warn(f"fit_rate: dropped {len(pts) - len(kept)} nonpositive error values")

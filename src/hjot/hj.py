@@ -12,6 +12,8 @@ scheme is monotone and non-expansive in the sup norm whenever
     lip_H(R)/2 <= eps/dx <= dx/(2 d dt),
 
 and its iterates converge to the viscosity solution at rate sqrt(h).
+make_scheme checks this at R + delta, the grid's monotone_radius, through
+grid.viscosity_interval.
 The Hopf-Lax formula provides the continuous solution as an oracle.
 """
 from __future__ import annotations
@@ -24,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostModel
-from .grid import (GridSpec, _axis_diffs, _stencil_scratch, _stencils, default_monotone_radius,
-                   viscosity_interval)
+from .grid import GridSpec, _axis_diffs, _stencil_scratch, _stencils, viscosity_interval
 from .measures import wrap
 
 
@@ -41,25 +42,19 @@ class SchemeParams:
     grid: GridSpec
     cost: CostModel
 
-    @property
-    def monotone_on(self) -> float:
-        """The slope radius R + delta, delta > 0, the scheme must be monotone on."""
-        return default_monotone_radius(self.grid.R)
-
 
 def make_scheme(grid: GridSpec, cost: CostModel) -> SchemeParams:
-    """SchemeParams whose viscosity makes the scheme monotone on monotone_on,
-    the radius grid.make_grid chooses the viscosity for; fails loudly when
-    eps/dx lies outside the admissibility interval at that radius."""
-    params = SchemeParams(grid, cost)
-    lo, hi = viscosity_interval(cost, params.monotone_on, grid.d, grid.dt, grid.dx)
+    """SchemeParams whose viscosity makes the scheme monotone on
+    grid.monotone_radius, the radius grid.make_grid chooses the viscosity
+    for; fails loudly when eps/dx lies outside viscosity_interval."""
+    lo, hi = viscosity_interval(grid, cost)
     ratio = grid.eps / grid.dx
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
     if not (lo - slack <= ratio <= hi + slack):
         raise ValueError(
             f"eps/dx = {ratio:g} outside the monotone interval "
-            f"[{lo:g}, {hi:g}] at slope radius {params.monotone_on:g}")
-    return params
+            f"[{lo:g}, {hi:g}] at slope radius {grid.monotone_radius:g}")
+    return SchemeParams(grid, cost)
 
 
 def _scratch(psi: np.ndarray, grid: GridSpec) -> tuple:
@@ -331,9 +326,10 @@ _BATCH = 8192
 def check_monotone(params: SchemeParams, trials: int = 1000, seed: int = 0) -> MonotoneReport:
     """Randomized check of scheme monotonicity on ordered C_{R+delta} pairs.
 
-    For each trial draws psi <= psi' with slopes bounded by monotone_on and
-    asserts S(psi) <= S(psi') elementwise, plus the sup-norm
-    non-expansiveness |S(psi) - S(psi')|_inf <= |psi - psi'|_inf. A trial
+    For each trial draws psi <= psi' with slopes bounded by
+    params.grid.monotone_radius, R + delta, and asserts S(psi) <= S(psi')
+    elementwise, plus the sup-norm non-expansiveness
+    |S(psi) - S(psi')|_inf <= |psi - psi'|_inf. A trial
     violates either one unless its gap or excess is at most 1e-12, so a NaN
     counts as a violation, and a NaN worst value stays NaN.
 
@@ -352,7 +348,7 @@ def check_monotone(params: SchemeParams, trials: int = 1000, seed: int = 0) -> M
         raise ValueError(f"trials must be at least 1 and an integer, got {trials!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    g, radius = params.grid, params.monotone_on
+    g, radius = params.grid, params.grid.monotone_radius
     anchor_rng, value_rng = np.random.default_rng(seed).spawn(2)
     size = max(1, _BATCH // math.prod(g.space_shape))
     space = tuple(range(1, g.d + 1))

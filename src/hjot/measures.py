@@ -32,7 +32,7 @@ def wrap(x, D: float = 1.0):
 
 @dataclass(frozen=True)
 class AnalyticMeasure:
-    """A probability measure given by its cumulative mass or by atoms.
+    """A probability measure given by its cumulative mass or by atoms, not both.
 
     :param cdf: vectorized cumulative mass F on lifted coordinates of the
         unit torus, or None: F is nondecreasing on R and F(x + 1) = F(x) +
@@ -42,6 +42,10 @@ class AnalyticMeasure:
 
     cdf: Callable[[np.ndarray], np.ndarray] | None = None
     atoms: tuple[tuple[float, float], ...] | None = None
+
+    def __post_init__(self) -> None:
+        if (self.cdf is None) == (self.atoms is None):
+            raise ValueError("a measure takes exactly one of cdf and atoms")
 
 
 @dataclass(frozen=True)

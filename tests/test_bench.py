@@ -46,6 +46,15 @@ def test_fit_rate_drops_nonpositive_and_degrades_to_nan():
         assert math.isnan(fit_rate([(0.1, -1.0), (0.05, 0.3)]))
 
 
+@pytest.mark.parametrize("h", [0.0, -0.05, math.nan, math.inf])
+def test_fit_rate_rejects_a_step_that_is_not_finite_and_positive(h):
+    # such an h reached the least-squares fit, which failed with
+    # "LinAlgError: SVD did not converge" and a LAPACK message on stderr
+    with pytest.raises(ValueError, match=re.escape(f"h must be finite and positive, "
+                                                   f"got the point {(h, 0.5)!r}")):
+        fit_rate([(0.1, 1.0), (h, 0.5)])
+
+
 def test_error_cost():
     assert error_cost(0.03125, 0.034) == pytest.approx(0.002750, abs=1e-12)
     with pytest.raises(ValueError):

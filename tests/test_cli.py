@@ -352,6 +352,7 @@ def test_config_resolved_has_no_seed(tmp_path, command):
     (["solve", "--case", "2", "--n", "16", "--clamp-R", "nan"], "R must be finite, got nan"),
     (["solve", "--case", "2", "--n", "8", "--clamp-R", "inf"], "R must be finite, got inf"),
     (["verify-scheme", "--n", "8", "--clamp-R", "inf"], "R must be finite, got inf"),
+    (["solve", "--case", "2", "--n", "8", "--clamp-R", "0"], "R must be positive, got 0.0"),
     (["verify-scheme", "--n", "16", "--eps", "nan"], "eps must be finite, got nan"),
     (["solve", "--case", "2", "--n", "8", "--zeta", "inf"], "N_X=inf"),
     (["solve", "--case", "2", "--n", "8", "--zeta", "1e308"], "N_X=inf"),
@@ -364,7 +365,7 @@ def test_config_resolved_has_no_seed(tmp_path, command):
      "seed must be a non-negative integer, got -1"),
 ], ids=["solve-case9", "solve-zeta", "sweep-case9", "verify-empty-interval",
         "solve-stop-tol-nan", "verify-trials0", "verify-trials-neg", "solve-clamp-R-nan",
-        "solve-clamp-R-inf", "verify-clamp-R-inf",
+        "solve-clamp-R-inf", "verify-clamp-R-inf", "solve-clamp-R-0",
         "verify-eps-nan", "solve-zeta-inf", "solve-zeta-1e308", "verify-zeta-inf",
         "solve-param-inf", "solve-param-nan", "hj-ivp-repeated-n", "hj-ivp-descending-n",
         "verify-seed-neg"])

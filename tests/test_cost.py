@@ -189,6 +189,19 @@ def test_project_mixed_arrays_keep_feasible_cells_bitwise(quad):
     assert np.allclose(w * (1.0 + lam), b, rtol=1e-14, atol=0)
 
 
+def test_project_feasible_cells_keep_their_bits(quad):
+    # -0.0 and a NaN a among feasible cells: lambda is pinned to 0 there, so
+    # a - 0 and b / 1 give back the same bits, with or without an
+    # infeasible cell in the array
+    a = np.array([-1.0, -0.0, np.nan, -3.5, -0.0])
+    b = np.array([[0.5, -0.0, 0.25, -2.0, 0.0], [-0.0, 0.0, 1.0, 0.5, -0.0]])
+    s, w = project(quad, a, b)
+    assert s.tobytes() == a.tobytes() and w.tobytes() == b.tobytes()
+    s, w = project(quad, np.append(a, 2.0), np.append(b, [[1.0], [-1.0]], axis=1))
+    assert s[:-1].tobytes() == a.tobytes() and w[:, :-1].tobytes() == b.tobytes()
+    assert s[-1] < 2.0
+
+
 def extreme_inputs(n: int, seed: int):
     """n cells (a, b), d = 1, with |a| from 1e-6 to 1e300, |b| from 1e-6 to 1e150."""
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,15 @@ def test_gridspec_rejects_bad_fields(kw):
     base.update(kw)
     with pytest.raises(ValueError):
         GridSpec(**base)
+
+
+def test_gridspec_names_a_nonpositive_R_and_a_negative_eps():
+    base = dict(d=1, D=1.0, N_T=4, N_X=4, eps=0.1, R=0.5)
+    for kw, message in ((dict(R=0.0), "R must be positive, got 0.0"),
+                        (dict(R=-0.5, eps=-1.0), "R must be positive, got -0.5"),
+                        (dict(eps=-1.0), "eps must be >= 0, got -1.0")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GridSpec(**dict(base, **kw))
 
 
 def test_gridspec_rejects_non_finite_fields():
@@ -194,6 +204,20 @@ def test_make_grid_checks_R_before_the_viscosity_interval():
                        (-0.5, "R must be positive, got -0.5")):
         with pytest.raises(ValueError, match=message):
             make_grid(1, 1.0, 8, 8, QuadraticCost(), R=R)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, 1.0, 0, 8), "d, N_T, N_X must be positive integers, got (1, 0, 8)"),
+    ((1, 1.0, 8, 0), "d, N_T, N_X must be positive integers, got (1, 8, 0)"),
+    ((0, 1.0, 8, 8), "d, N_T, N_X must be positive integers, got (0, 8, 8)"),
+    ((1, 0.0, 8, 8), "period D must be positive"),
+    ((1, -1.0, 8, 8), "period D must be positive"),
+], ids=["N_T=0", "N_X=0", "d=0", "D=0", "D=-1"])
+def test_make_grid_names_the_bad_input(args, message):
+    # a zero count divided by zero, and d <= 0 or D <= 0 gave a default R
+    # <= 0 that was reported instead
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_grid(*args, QuadraticCost())
 
 
 def test_make_grid_custom_radius():

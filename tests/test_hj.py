@@ -251,7 +251,7 @@ def test_scheme_params_validation(quad):
 def test_make_scheme_default_radius(quad):
     g = make_grid(1, 1.0, 16, 16, quad)
     params = make_scheme(g, quad)
-    assert params.monotone_on == pytest.approx(1.05 * g.R)
+    assert params.grid.monotone_radius == pytest.approx(1.05 * g.R)
 
 
 def test_random_cr_field_slope_bounded(quad):
@@ -318,8 +318,8 @@ def _sequential_report(params, trials, seed):
     anchor_rng, value_rng = np.random.default_rng(seed).spawn(2)
     mono_bad, mono_worst, nonexp_bad, nonexp_worst = 0, 0.0, 0, 0.0
     for _ in range(trials):
-        a = _mcshane_reference(params.grid, params.monotone_on, anchor_rng, value_rng)
-        b = _mcshane_reference(params.grid, params.monotone_on, anchor_rng, value_rng)
+        a = _mcshane_reference(params.grid, params.grid.monotone_radius, anchor_rng, value_rng)
+        b = _mcshane_reference(params.grid, params.grid.monotone_radius, anchor_rng, value_rng)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         s_lo = scheme_step(lo, params)
         s_hi = scheme_step(hi, params)

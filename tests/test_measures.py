@@ -69,6 +69,16 @@ def test_project_rejects_an_atom_at_a_non_finite_location(x0):
         project_measure(mixed, grid_1d(8))
 
 
+@pytest.mark.parametrize("kw", [{}, dict(cdf=None, atoms=None),
+                                dict(cdf=lambda x: x, atoms=((0.25, 1.0),))],
+                         ids=["neither", "both-none", "both"])
+def test_analytic_measure_takes_exactly_one_of_cdf_and_atoms(kw):
+    # with neither, project_measure died calling None; with both, it
+    # projected the atoms and ignored the cumulative mass
+    with pytest.raises(ValueError, match="exactly one of cdf and atoms"):
+        AnalyticMeasure(**kw)
+
+
 @pytest.mark.parametrize("mu", [dirac(0.25), uniform()], ids=["dirac", "uniform"])
 def test_project_rejects_a_grid_of_more_than_one_axis(mu):
     # an atom's location is one coordinate: on a d = 2 grid it used to fill

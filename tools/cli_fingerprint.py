@@ -1,4 +1,4 @@
-"""Print a fingerprint of seventeen CLI runs: exit codes, stdout and artifacts, by hash.
+"""Print a fingerprint of eighteen CLI runs: exit codes, stdout and artifacts, by hash.
 
 Usage (hjot is imported from PYTHONPATH):
 
@@ -66,6 +66,8 @@ RUNS = (
     ["verify-scheme", "--n", "16", "--trials", "50", "--eps", "1e308"],
     # a negative seed is rejected, naming the key and the value
     ["verify-scheme", "--n", "16", "--trials", "5", "--seed", "-1"],
+    # a clamp R <= 0 is rejected by GridSpec, naming R and its value
+    ["solve", "--case", "2", "--n", "8", "--clamp-R", "0"],
 )
 
 
